@@ -121,6 +121,10 @@ class GaussRational:
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):
+        # Equal values hash equally: a real value compares equal to its
+        # int/Fraction, so it must hash like it.
+        if not self.im:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __bool__(self):

@@ -3,8 +3,11 @@
 A family  w = eta * exp(s * i * eta^(m-1) * phi(z, xi, eta))  with
 s = +-1 and phi = z*xi + sum_{k,l>=2} phi_kl(eta) z^k xi^l is solved
 from the inverse ODE of a validated sextuple by Picard iteration on the
-integrated Cauchy problem; each sweep extends the correct z-jet by at
-least one order, so truncs[0] - 2 sweeps suffice.
+integrated Cauchy problem.  Each sweep extends the correct z-jet by one
+order, so the sweeps climb a precision ladder: the first runs on
+z-truncation 2, each later one a z-order wider, until truncs[0] - 2
+sweeps reach the full box; one more sweep there confirms the fixed
+point, for truncs[0] - 1 sweeps in all.
 
 Variable naming follows the family convention: the second and third
 TriSeries variables are the antiholomorphic parameters.
@@ -103,8 +106,12 @@ def solve_phi(ode: P0Ode, m: int, sign: int = 1,
     tz, tx, te = truncs
     A, B, C, D, E, F = (getattr(ode, n) for n in ("A", "B", "C", "D", "E", "F"))
 
+    # Precision ladder: phi starts exact modulo z^2; the right-hand side
+    # loses one z-order to the derivative and integrate_z(2) gains two, so
+    # each sweep returns the exact jet one z-order wider.  Equality also
+    # compares truncations, so only a sweep on the full box can stop.
     zxi = TriSeries.monomial(1, 1, 0, 1, PHI_VARS, truncs)
-    phi = zxi
+    phi = zxi.truncate((2, tx, te))
     for _ in range(max(tz - 1, 1)):
         rhs = _findphi_rhs(phi, m, A, B, C, D, E, F)
         new = zxi + rhs.integrate_z(2).truncate(truncs)
@@ -123,7 +130,7 @@ def _findphi_rhs(phi, m, A, B, C, D, E, F):
     psi = phi.mul_monomial(0, 0, m - 1) * I
     exppsi = psi.exp()
     W = exppsi.mul_monomial(0, 0, 1)           # eta * e^(i eta^(m-1) phi)
-    powers = _power_table(W)
+    powers = _power_table(W, A, B, C, D, E, F)
 
     phid = phi.derivative(0).truncate(truncs)
     phid2 = phid * phid
@@ -151,15 +158,21 @@ def _scaled_exp(psi, k):
     return (psi * k).exp()
 
 
-def _power_table(W):
-    """[W^0, W^1, ...] until the power vanishes in the ring."""
+def _power_table(W, *series):
+    """[W^0, W^1, ..., W^d] for the highest degree d stored in ``series``.
+
+    Stops early once a power vanishes in the ring; ``_eval_with_table``
+    reads no power beyond either bound.
+    """
+    top = max((max(s.coeffs) for s in series if s.coeffs), default=0)
     table = [TriSeries.constant(1, W.vars, W.truncs)]
     cur = table[0]
-    while True:
+    for _ in range(top):
         cur = cur * W
         if cur.is_zero():
-            return table
+            break
         table.append(cur)
+    return table
 
 
 def _eval_with_table(series: USeries, powers, truncs):
@@ -231,21 +244,31 @@ def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
     """Dual family: swap graph variables against parameters and re-solve.
 
     Solves  eta = w * exp(s*i*w^(m-1)*phi(xi, z, w))  for w by fixed-point
-    iteration in the series ring; every sweep extends the correct jet by
-    two (z, xi)-orders.  The result carries the opposite sign and loses m
-    orders of eta-truncation (one to the leading factor, m-1 to the
-    exponent normalization).
+    iteration in the series ring.  A sweep multiplies the error of w by
+    (z*xi)^g, with g = 2 for m = 1 and g = 1 otherwise, so the iteration
+    climbs a ladder of square (z, xi)-boxes of side 1 + g, 1 + 2g, ...,
+    each solved exactly by one sweep, and then sweeps on the full box
+    until w is a fixed point.  The result carries the opposite sign and
+    loses m orders of eta-truncation (one to the leading factor, m-1 to
+    the exponent normalization).
     """
     m, s = phi.m, phi.sign
     truncs = phi.phi.truncs
+    tz, tx, te = truncs
     swapped = phi.phi.swap_zx().relabel(PHI_VARS)  # phi(xi, z, .) as a series
-    eta = TriSeries.monomial(0, 0, 1, 1, PHI_VARS, truncs)
-    w = eta
-    sweeps = (truncs[0] + truncs[1]) // 2 + 2
-    for _ in range(sweeps):
-        phi_at_w = swapped.subst_eta(w)
-        expo = (phi_at_w * w.pow_int(m - 1)) * (-I * s)
-        new = (expo.exp()).mul_monomial(0, 0, 1)
+
+    def sweep(w):
+        expo = (swapped.subst_eta(w) * w.pow_int(m - 1)) * (-I * s)
+        return expo.exp().mul_monomial(0, 0, 1)
+
+    # eta is exact on the box of side 1 (w - eta is a multiple of z*xi).
+    w = TriSeries.monomial(0, 0, 1, 1, PHI_VARS, truncs).truncate((1, 1, te))
+    gain = 2 if m == 1 else 1
+    for side in range(1 + gain, min(tz, tx), gain):
+        w = sweep(w.widen((side, side, te)))
+    w = w.widen(truncs)
+    for _ in range((tz + tx) // 2 + 2):
+        new = sweep(w)
         if new == w:
             break
         w = new
@@ -288,11 +311,15 @@ def reality_check(ode: P0Ode, m: int, sign: int = 1,
     The family has a real structure iff the conjugated family is also a
     dual one, which for admissible families reduces to the four slice
     identities; mismatching slices are reported with their first failing
-    degree in the coefficient variable.
+    degree in the coefficient variable.  Only the slices (k, l) <= (3, 3)
+    are read, so phi is solved on the box (min(tz, 4), min(tx, 4), te):
+    the solve is truncation-honest, so the report, checked_order
+    included, is the one a solve on the full box would give.
     """
     if sign == -1:
         return reality_check(ode.conjugate(), m, 1, truncs)
-    phi = solve_phi(ode, m, 1, truncs)
+    tz, tx, te = truncs
+    phi = solve_phi(ode, m, 1, (min(tz, 4), min(tx, 4), te))
     dual = dual_phi_lowjet(phi)
     mism = []
     checked = None
@@ -383,7 +410,7 @@ def family_residual(ode: P0Ode, phi: AdmissiblePhi) -> TriSeries:
     ode = ode.rescale_order(m)
     truncs = phi.phi.truncs
     W = phi.family()
-    powers = _power_table(W)
+    powers = _power_table(W, ode.A, ode.B, ode.C, ode.D, ode.E, ode.F)
     Wp = W.derivative(0).truncate(truncs)
     Wpp = Wp.derivative(0).truncate(truncs)
     Wm = W.pow_int(m)

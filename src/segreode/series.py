@@ -290,9 +290,13 @@ class USeries:
         return inv
 
     def exp(self):
+        """exp(self), graded by degree; the constant term must be 0."""
         if not self.constant_term().is_zero():
             raise DomainError("exp: nonzero constant term")
-        return _exp_impl(self, USeries.constant(1, self.var, self.trunc))
+        trunc = self.trunc
+        cf, den = _exp_graded(self.coeffs, self.den, lambda d: d, trunc,
+                              lambda a, b: backend.mul1(a, b, trunc))
+        return USeries._raw(self.var, trunc, cf, den)
 
     def log(self):
         if self.constant_term() != GaussRational(1):
@@ -356,13 +360,46 @@ class USeries:
         return " + ".join(parts) + f" + O({self.var}^{self.trunc})"
 
 
-def _exp_impl(t, one_ring):
-    # Horner on exp(t) = sum t^n / n!
-    nmax = _nilpotency_bound(t)
-    acc = one_ring * Fraction(1, math.factorial(nmax))
-    for n in range(nmax - 1, -1, -1):
-        acc = acc * t + one_ring * Fraction(1, math.factorial(n))
-    return acc
+def _exp_graded(coeffs, den, grade, ngrades, mul):
+    """exp(t) for t = coeffs/den with no grade-0 part, in about one product.
+
+    ``grade`` maps a key to its grade (< ngrades); keys and grades must
+    add under multiplication and ``mul`` must drop products outside the
+    ring.  With t = T/den split into homogeneous parts T_j, the parts
+    E_n of exp(t) obey n E_n = sum_{j=1..n} j (T_j/den) E_(n-j), E_0 = 1
+    (Brent & Kung); F_n = n! den^n E_n keeps that recurrence integral:
+    F_n = sum_j j (n-1)!/(n-j)! den^(j-1) T_j F_(n-j).
+    Returns the integer pairs and the denominator of exp(t).
+    """
+    ngrades = max(ngrades, 1)
+    parts = [{} for _ in range(ngrades)]
+    for key, v in coeffs.items():
+        parts[grade(key)][key] = v
+    one = {0: (1, 0)}
+    F = [mul(one, one)]                     # {} in the zero ring
+    for n in range(1, ngrades):
+        acc = {}
+        falling = 1                         # (n-1)!/(n-j)! * den^(j-1)
+        for j in range(1, n + 1):
+            if parts[j] and F[n - j]:
+                s = j * falling
+                for k, (a, b) in mul(parts[j], F[n - j]).items():
+                    cur = acc.get(k)
+                    if cur is None:
+                        acc[k] = (a * s, b * s)
+                    else:
+                        acc[k] = (cur[0] + a * s, cur[1] + b * s)
+            falling *= (n - j) * den
+        F.append({k: v for k, v in acc.items() if v[0] or v[1]})
+    # E = sum_n F_n / (n! den^n), over the common denominator N! den^N.
+    top = ngrades - 1
+    out = {}
+    scale = 1                               # N!/n! * den^(N-n)
+    for n in range(top, -1, -1):
+        for k, (a, b) in F[n].items():
+            out[k] = (a * scale, b * scale)
+        scale *= n * den
+    return out, math.factorial(top) * den ** top
 
 
 def _log_impl(s, zero_ring):
@@ -693,6 +730,17 @@ class TriSeries:
               if (k >> SHIFT1) < tz and ((k >> SHIFT2) & MASK) < tx and (k & MASK) < te}
         return TriSeries._raw(self.vars, truncs, cf, self.den)
 
+    def widen(self, truncs):
+        """The same terms on a box at least as large as the current one.
+
+        Truncation only shrinks; widening claims the new coefficients
+        are zero, so the caller must know they are (or will overwrite
+        them, as a precision ladder does).
+        """
+        if any(a > b for a, b in zip(self.truncs, truncs)):
+            raise StructureError(f"widen: {truncs} is smaller than {self.truncs}")
+        return TriSeries._raw(self.vars, truncs, dict(self.coeffs), self.den)
+
     def mul_monomial(self, k, l, j):
         """Ring multiplication by a monomial (truncations unchanged)."""
         tz, tx, te = self.truncs
@@ -805,9 +853,22 @@ class TriSeries:
         return USeries._raw(var, self.truncs[2], cf, self.den)
 
     def exp(self):
+        """exp(self); the constant term must be 0.
+
+        Graded by degree in the first variable when no term is free of
+        it (the case of every caller in the package), otherwise by total
+        degree.
+        """
         if not self.constant_term().is_zero():
             raise DomainError("exp: nonzero constant term")
-        return _exp_impl(self, TriSeries.constant(1, self.vars, self.truncs))
+        tz, tx, te = self.truncs
+        if all(key >> SHIFT1 for key in self.coeffs):
+            grade, ngrades = (lambda key: key >> SHIFT1), tz
+        else:
+            grade, ngrades = (lambda key: sum(unpack(key))), self.total_degree_cap() + 1
+        cf, den = _exp_graded(self.coeffs, self.den, grade, ngrades,
+                              lambda a, b: backend.mul3(a, b, tz, tx, te))
+        return TriSeries._raw(self.vars, self.truncs, cf, den)
 
     def log(self):
         if self.constant_term() != GaussRational(1):

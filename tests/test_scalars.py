@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from segreode.errors import DomainError
 from segreode.scalars import GaussRational, I, gauss_sqrt_exact, parse_gauss
@@ -56,3 +57,21 @@ def test_exact_sqrt():
     assert gauss_sqrt_exact(GaussRational(-1)) == GaussRational(0, 1) or \
         gauss_sqrt_exact(GaussRational(-1)) * gauss_sqrt_exact(GaussRational(-1)) \
         == GaussRational(-1)
+
+
+def test_hash_matches_int_and_fraction():
+    assert len({GaussRational(3), 3, Fraction(3)}) == 1
+    assert Fraction(-1, 2) in {GaussRational(Fraction(-1, 2))}
+    assert GaussRational(0, 1) not in {0, 1}
+
+
+fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+scalars = st.one_of(st.integers(-3, 3), fractions,
+                    st.builds(GaussRational, fractions, fractions),
+                    st.builds(GaussRational, fractions))
+
+
+@given(scalars, scalars)
+def test_equal_values_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)

@@ -5,10 +5,11 @@ import pytest
 from segreode.errors import DomainError, InternalInconsistencyError
 from segreode.odes import P0Ode, validate_p0
 from segreode.scalars import GaussRational, I
-from segreode.segre import (AdmissiblePhi, RealStructureData, build_real,
-                            dual_phi_full, dual_phi_lowjet, extract_real,
-                            family_residual, reality_check, recover_ode,
-                            recovered_to_ode, solve_phi)
+from segreode.segre import (AdmissiblePhi, RealityReport, RealStructureData,
+                            SliceMismatch, build_real, dual_phi_full,
+                            dual_phi_lowjet, extract_real, family_residual,
+                            reality_check, recover_ode, recovered_to_ode,
+                            solve_phi)
 from segreode.series import TriSeries, USeries
 
 T = 12
@@ -212,3 +213,76 @@ def test_reality_stable_under_real_scaling_of_b(structure_samples):
     scaled = RealStructureData(a=data.a, b=data.b * Fraction(2, 3),
                                c=data.c, m=data.m)
     assert reality_check(build_real(scaled), data.m, truncs=TRUNCS).ok
+
+
+# -- truncation honesty of the laddered solvers ----------------------------
+
+def _imaginary_perturbation(ode):
+    return P0Ode(ode.m, ode.A, ode.B, ode.C, ode.D,
+                 ode.E + USeries.monomial(5, GaussRational(0, 1), trunc=ode.trunc),
+                 ode.F + USeries.monomial(2, GaussRational(1, -2), trunc=ode.trunc))
+
+
+def test_solve_phi_truncation_honest(structure_samples):
+    cases = [(build_real(family_data(1)), 4)]
+    cases += [(build_real(d), d.m) for d in structure_samples[:3]]
+    cases.append((_imaginary_perturbation(build_real(structure_samples[3])),
+                  structure_samples[3].m))
+    for ode, m in cases:
+        for sign in (1, -1):
+            low = solve_phi(ode, m, sign, (5, 5, 10))
+            high = solve_phi(ode, m, sign, (7, 7, 14))
+            assert low.phi == high.phi.truncate((5, 5, 10)), (m, sign)
+
+
+def _report_from_full_box(ode, m, sign, truncs):
+    """The reality report read off a solve on the whole box."""
+    if sign == -1:
+        ode = ode.conjugate()
+    phi = solve_phi(ode, m, 1, truncs)
+    mism, checked = [], None
+    for key, dser in sorted(dual_phi_lowjet(phi).items()):
+        diff = phi.slice(*key).conjugate() - dser
+        checked = diff.trunc if checked is None else min(checked, diff.trunc)
+        if not diff.is_zero():
+            mism.append(SliceMismatch(key, diff.order(), diff))
+    return RealityReport(not mism, tuple(mism), checked)
+
+
+def test_reality_check_equals_full_box_report(structure_samples):
+    truncs = (6, 6, 12)
+    real = [(build_real(d), d.m) for d in structure_samples[:3]]
+    bent = [(_imaginary_perturbation(ode), m) for ode, m in real]
+    bent.append((_imaginary_perturbation(build_real(family_data(1))), 4))
+    for ode, m in real + bent:
+        for sign in (1, -1):
+            rep = reality_check(ode, m, sign, truncs)
+            assert rep == _report_from_full_box(ode, m, sign, truncs), (m, sign)
+    assert all(reality_check(ode, m, 1, truncs).ok for ode, m in real)
+    assert not any(reality_check(ode, m, 1, truncs).ok for ode, m in bent)
+
+
+def _dual_by_full_box_iteration(phi):
+    """dual_phi_full without the precision ladder: every sweep on the full box."""
+    m, s = phi.m, phi.sign
+    swapped = phi.phi.swap_zx().relabel(("z", "xi", "eta"))
+    w = TriSeries.monomial(0, 0, 1, 1, ("z", "xi", "eta"), phi.truncs)
+    for _ in range(sum(phi.truncs)):
+        expo = (swapped.subst_eta(w) * w.pow_int(m - 1)) * (-I * s)
+        new = expo.exp().mul_monomial(0, 0, 1)
+        if new == w:
+            break
+        w = new
+    else:
+        raise AssertionError("full-box iteration did not stabilize")
+    star = w.divide_eta(1).log().divide_eta(m - 1) * (1 / (-I * s))
+    return AdmissiblePhi(m, -s, star)
+
+
+@pytest.mark.parametrize("truncs", [TRUNCS, (4, 6, 10), (6, 3, 9)])
+def test_dual_full_matches_full_box_iteration(structure_samples, truncs):
+    phis = [solve_phi(build_real(family_data(1)), 4, 1, truncs)]
+    phis += [solve_phi(build_real(d), d.m, 1, truncs) for d in structure_samples[:5]]
+    for phi in phis:
+        dual = dual_phi_full(phi)
+        assert dual == _dual_by_full_box_iteration(phi), phi.m

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,37 @@ def triseries(draw, truncs=(4, 4, 5), max_terms=5):
                      st.integers(0, truncs[2] - 1))
     return TriSeries(("z", "xi", "eta"), truncs,
                      draw(st.dictionaries(keys, gauss, max_size=max_terms)))
+
+
+@st.composite
+def nilpotent_useries(draw):
+    """USeries with zero constant term."""
+    trunc = draw(st.integers(1, 10))
+    keys = st.integers(1, max(trunc - 1, 1))
+    return USeries("w", trunc, draw(st.dictionaries(keys, gauss, max_size=5)))
+
+
+@st.composite
+def nilpotent_triseries(draw):
+    """TriSeries with zero constant term, with or without z-free terms."""
+    truncs = draw(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)))
+    lowest_z = draw(st.sampled_from((0, 1)))
+    keys = st.tuples(st.integers(lowest_z, max(truncs[0] - 1, lowest_z)),
+                     st.integers(0, truncs[1] - 1), st.integers(0, truncs[2] - 1))
+    terms = draw(st.dictionaries(keys.filter(any), gauss, max_size=5))
+    return TriSeries(("z", "xi", "eta"), truncs, terms)
+
+
+def naive_exp(t):
+    """sum_n t^n / n!, summed until the power vanishes in the ring."""
+    acc = power = t.ring_one()
+    n = 0
+    while True:
+        n += 1
+        power = power * t * Fraction(1, n)
+        if power.is_zero():
+            return acc
+        acc = acc + power
 
 
 w = USeries.monomial(1, 1, trunc=10)
@@ -180,3 +212,82 @@ def test_determinism():
     r1 = a * b + a.derivative() * b
     r2 = a * b + a.derivative() * b
     assert r1 == r2 and r1.den == r2.den
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_useries())
+def test_exp_univariate_against_power_sum(t):
+    e = t.exp()
+    assert e == naive_exp(t)
+    assert e * (-t).exp() == t.ring_one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_triseries())
+def test_exp_trivariate_against_power_sum(t):
+    e = t.exp()
+    assert e == naive_exp(t)
+    assert e * (-t).exp() == t.ring_one()
+
+
+def test_exp_grades_z_free_arguments_by_total_degree():
+    t = TriSeries(("z", "xi", "eta"), (3, 3, 4),
+                  {(0, 0, 1): 1, (0, 1, 0): GaussRational(0, 1), (1, 0, 2): 2})
+    assert t.exp() == naive_exp(t)
+    assert t.exp().coeff(0, 0, 3) == GaussRational(Fraction(1, 6))
+
+
+# -- sympy cross-check ----------------------------------------------------
+
+def _sym(q):
+    import sympy
+    return sympy.Rational(q.re.numerator, q.re.denominator) + \
+        sympy.I * sympy.Rational(q.im.numerator, q.im.denominator)
+
+
+def _sample_args(seed):
+    """A univariate and a trivariate argument; odd seeds have no z-free term."""
+    rng = random.Random(seed)
+
+    def q():
+        return GaussRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                             Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    uni = USeries("w", 7, {d: q() for d in range(1, 4)})
+    keys = [(rng.randrange(seed % 2, 3), rng.randrange(3), rng.randrange(1, 4))
+            for _ in range(4)]
+    tri = TriSeries(("z", "xi", "eta"), (3, 3, 4), {key: q() for key in keys})
+    return uni, tri
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_exp_against_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    uni, tri = _sample_args(seed)
+
+    x = sympy.Symbol("w")
+    arg = sum(_sym(q) * x ** d for d, q in uni.terms())
+    ref = sympy.series(sympy.exp(arg), x, 0, uni.trunc).removeO()
+    ref = sympy.Poly(sympy.expand(ref), x)
+    e = uni.exp()
+    for d in range(uni.trunc):
+        assert sympy.expand(ref.coeff_monomial(x ** d) - _sym(e.coeff(d))) == 0
+
+    z, xi, eta = sympy.symbols("z xi eta")
+    tz, tx, te = tri.truncs
+
+    def cut(expr):
+        terms = sympy.Poly(sympy.expand(expr), z, xi, eta).terms()
+        return sum((c * z ** k * xi ** l * eta ** j for (k, l, j), c in terms
+                    if k < tz and l < tx and j < te), sympy.Integer(0))
+    arg = sum(_sym(q) * z ** k * xi ** l * eta ** j for (k, l, j), q in tri.terms())
+    acc = power = sympy.Integer(1)
+    for n in range(1, tri.total_degree_cap() + 1):
+        power = cut(power * arg) / n
+        acc += power
+    ref = sympy.Poly(sympy.expand(acc), z, xi, eta)
+    e = tri.exp()
+    for k in range(tz):
+        for l in range(tx):
+            for j in range(te):
+                want = ref.coeff_monomial(z ** k * xi ** l * eta ** j)
+                assert sympy.expand(want - _sym(e.coeff(k, l, j))) == 0
