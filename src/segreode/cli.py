@@ -165,9 +165,17 @@ def verify_divergence(args):
     return [Report(claim, "fail", witness=json.dumps(payload))]
 
 
+GAUGE_MIN_ORDER = 5
+
+
 def verify_gauge(args):
     gamma = _gamma(args)
     order = args.order
+    if order < GAUGE_MIN_ORDER:
+        # tau is carried to w^order; below order 5 that is at most w^4,
+        # where tau = w + O(w^5) holds by construction and cannot fail
+        raise SegreOdeError(f"gauge: --order must be at least {GAUGE_MIN_ORDER}"
+                            f" to decide tau = w + O(w^5), got {order}")
     out = []
     fhat, ghat = formal_fundamental(gamma, order)
     gauge = gauge_chi_tau(fhat, ghat)

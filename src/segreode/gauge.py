@@ -18,7 +18,7 @@ from .errors import DomainError, InternalInconsistencyError, StructureError
 from .odes import P0Ode
 from .scalars import GaussRational, I, gauss_sqrt_exact
 from .segre import RealStructureData, build_real
-from .series import ULaurent, USeries
+from .series import ULaurent, USeries, _combine_shifted, _div_quadratic
 
 
 class Mat2:
@@ -80,14 +80,6 @@ class Mat2:
         """Degree-k coefficients as a 2x2 tuple of GaussRational."""
         return tuple(tuple(self.a[i][j].coeff(k) for j in range(2))
                      for i in range(2))
-
-    def det(self):
-        return self.a[0][0] * self.a[1][1] - self.a[0][1] * self.a[1][0]
-
-    def inverse(self):
-        dinv = self.det().invert_unit()
-        return Mat2(((self.a[1][1] * dinv, -self.a[0][1] * dinv),
-                     (-self.a[1][0] * dinv, self.a[0][0] * dinv)))
 
     def is_zero(self):
         return all(e.is_zero() for row in self.a for e in row)
@@ -186,6 +178,12 @@ def poincare_dulac(sys: LinSystem, order: int) -> PDResult:
     and integer eigenvalue differences produce genuine resonances;
     nonzero resonant entries are reported as obstructions and left in
     the normal form.
+
+    Each factor T = I + H w^k has a constant H, so a step needs no
+    series product: ``_apply_factor`` multiplies by T as X + (X H) w^k
+    and inverts T by Cayley-Hamilton.  The matrix is carried to degree
+    ``order`` only, since no step reads past it; the gauge keeps the
+    system's truncation.
     """
     lead = sys.A.coeff_matrix(0)
     if lead[0][1] or lead[1][0]:
@@ -197,7 +195,7 @@ def poincare_dulac(sys: LinSystem, order: int) -> PDResult:
 
     var = sys.var
     trunc = min(e.trunc for row in sys.A.a for e in row)
-    cur = sys.A
+    cur = sys.A.truncate(min(trunc, order + 1))
     gauge = Mat2.identity(var, trunc)
     steps, residues, obstructions = [], [], []
 
@@ -232,21 +230,45 @@ def poincare_dulac(sys: LinSystem, order: int) -> PDResult:
             elif diag[0] or diag[1]:
                 residues.append((k, diag))
 
-    nf = LinSystem(p, cur.truncate(min(trunc, order + 1)))
+    nf = LinSystem(p, cur)
     return PDResult(nf, gauge, tuple(steps), tuple(residues),
                     tuple(obstructions), order)
 
 
 def _apply_factor(cur, gauge, H, k, pole, trunc):
-    """Conjugate by T = I + H w^k:  cur <- T^-1 (cur T - w^pole T')."""
+    """Conjugate by T = I + H w^k:  cur <- T^-1 (cur T - w^pole T').
+
+    H is a constant matrix, so no series product is needed.  Right
+    multiplication is X T = X + (X H) w^k, and w^pole T' = k H w^(k+pole-1).
+    Cayley-Hamilton (H^2 = tr H * H - det H * I) inverts T in closed form:
+    T^-1 = ((1 + tr H w^k) I - H w^k) / q with
+    q = 1 + tr H w^k + det H w^(2k), and dividing by q is the two-term
+    recurrence of ``_div_quadratic``; a diagonal H gives the diagonal
+    T^-1 = diag(1 / (1 + H_ii w^k)) directly.  Each result entry is
+    exact below the smaller of ``trunc`` and its matrix's truncation.
+    """
     var = cur.a[0][0].var
-    Hmat = Mat2.from_consts(H, var, trunc).map(lambda e: e.shift_up(k).truncate(trunc))
-    T = Mat2.identity(var, trunc) + Hmat
-    # w^pole * T' has entries k * H * w^(k + pole - 1)
-    Dterm = Mat2.from_consts(H, var, trunc).map(
-        lambda e: (e * k).shift_up(k + pole - 1).truncate(trunc))
-    new = T.inverse() * (cur * T - Dterm)
-    return new, gauge * T
+    wp = USeries.monomial(pole - 1, 1, var, trunc)
+
+    def right_mul(X, i, j, *extra):
+        """Entry (i, j) of X T, plus w^k times the extra terms."""
+        return _combine_shifted(X[i][j], k, [(H[0][j], X[i][0]), (H[1][j], X[i][1]),
+                                             *extra], trunc)
+
+    # Y = cur T - w^pole T'
+    Y = [[right_mul(cur.a, i, j, (-k * H[i][j], wp)) for j in range(2)] for i in range(2)]
+    if H[0][1] or H[1][0]:
+        tr = H[0][0] + H[1][1]
+        det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
+        new = [[_div_quadratic(
+                    _combine_shifted(Y[i][j], k, [(tr, Y[i][j]), (-H[i][0], Y[0][j]),
+                                                  (-H[i][1], Y[1][j])], trunc),
+                    k, tr, det)
+                for j in range(2)] for i in range(2)]
+    else:
+        new = [[_div_quadratic(Y[i][j], k, H[i][i], 0) for j in range(2)]
+               for i in range(2)]
+    return Mat2(new), Mat2([[right_mul(gauge.a, i, j) for j in range(2)] for i in range(2)])
 
 
 def conjugation_residual(sys: LinSystem, pd: PDResult) -> Mat2:
@@ -355,18 +377,31 @@ class ScalarGauge:
 
 
 def reversion(g: USeries) -> USeries:
-    """Compositional inverse of g = c w + ... with c != 0, by Newton steps."""
+    """Compositional inverse of g = c w + ... with c != 0, by Newton steps.
+
+    The result is w/c, with truncation g.trunc, when g is exactly linear.
+    Otherwise it is exact below g.trunc - 1, which is its truncation: the
+    Newton correction divides by g', which is known one degree less.
+    The steps h <- h - (g(h) - w) / g'(h) run on a precision ladder:
+    h is exact below n (n = 2 for w/c), g(h) - w then starts at degree n,
+    so one step makes h exact below min(2n, g.trunc - 1) and only needs
+    g'(h) below the gain.
+    """
     c = g.coeff(1)
     if not g.constant_term().is_zero() or c.is_zero():
         raise DomainError("reversion needs g(0) = 0 and g'(0) != 0")
-    h = USeries.monomial(1, 1 / c, g.var, g.trunc)
-    w = USeries.monomial(1, 1, g.var, g.trunc)
-    steps = max(1, g.trunc.bit_length() + 1)
-    for _ in range(steps):
-        err = g.eval_at(h) - w
-        if err.is_zero():
-            break
-        h = h - err * g.derivative().eval_at(h).invert_unit()
+    if all(d <= 1 for d in g.coeffs):
+        return USeries.monomial(1, 1 / c, g.var, g.trunc)
+    top = g.trunc - 1
+    dg = g.derivative()
+    n = 2
+    h = USeries.monomial(1, 1 / c, g.var, n)
+    while n < top:
+        lo, n = n, min(2 * n, top)
+        h = USeries._raw(g.var, n, h.coeffs, h.den)
+        err = g.truncate(n).eval_at(h) - USeries.monomial(1, 1, g.var, n)
+        slope = dg.truncate(n - lo).eval_at(h.truncate(n - lo)).invert_unit()
+        h = h - (err.divide_monomial(lo) * slope).shift_up(lo)
     return h
 
 
@@ -497,10 +532,13 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
 
     Runs the coefficient recurrence to ``count`` terms and checks
     |a_{k+3}| / |a_k| >= k/4 for every k >= k_onset with a_k != 0, as
-    exact squared-modulus comparisons.  The dominant term of the
-    recurrence drives the true ratio like k/2, so k/4 is a safe exact
-    threshold; a certificate pass witnesses that the series has zero
-    radius of convergence.
+    exact squared-modulus comparisons.  A pass witnesses that the
+    series has zero radius of convergence.  The test is sufficient
+    only: the dominant term of the recurrence drives the ratio like k/2
+    for large k, but the lower-order terms can push single ratios below
+    k/4 past the onset, and then the certificate fails and shows
+    nothing.  With the default onset 10 it fails for gamma = -3 and -6
+    at 60 terms and for gamma = -5 at 200 terms.
     """
     g = gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
     if g.is_zero():

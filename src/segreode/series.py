@@ -259,6 +259,13 @@ class USeries:
         return USeries._raw(self.var, self.trunc - n,
                             {k - n: v for k, v in self.coeffs.items()}, self.den)
 
+    def _integral(self):
+        """Antiderivative with zero constant term (truncation grows by one)."""
+        scale = math.lcm(*range(1, self.trunc + 1))
+        cf = {k + 1: (a * (scale // (k + 1)), b * (scale // (k + 1)))
+              for k, (a, b) in self.coeffs.items()}
+        return USeries._raw(self.var, self.trunc + 1, cf, self.den * scale)
+
     def conjugate(self):
         return USeries._raw(self.var, self.trunc,
                             {k: (a, -b) for k, (a, b) in self.coeffs.items()}, self.den)
@@ -277,16 +284,22 @@ class USeries:
     # -- analytic-style operations ---------------------------------------
 
     def invert_unit(self):
-        """Multiplicative inverse; requires a nonzero constant term."""
+        """Multiplicative inverse; requires a nonzero constant term.
+
+        Newton steps x -> x (2 - s x) on a precision ladder: x is exact
+        modulo var**n, and the step that doubles n works on s and x
+        truncated to the new n = min(2n, trunc), never at full
+        truncation.  The result has the truncation of self.
+        """
         c0 = self.constant_term()
         if c0.is_zero():
             raise DomainError("invert_unit: constant term is zero")
-        inv = USeries.constant(1 / c0, self.var, self.trunc)
-        # Newton iteration x -> x(2 - s x): doubles the correct order.
-        order = 1
-        while order < self.trunc:
-            inv = inv * (2 - self * inv)
-            order *= 2
+        inv = USeries.constant(1 / c0, self.var, 1)
+        n = 1
+        while n < self.trunc:
+            n = min(2 * n, self.trunc)
+            inv = USeries._raw(self.var, n, inv.coeffs, inv.den)
+            inv = inv * (2 - self.truncate(n) * inv)
         return inv
 
     def exp(self):
@@ -299,15 +312,17 @@ class USeries:
         return USeries._raw(self.var, trunc, cf, den)
 
     def log(self):
+        """log(self) as the integral of s'/s: one inversion, one product."""
         if self.constant_term() != GaussRational(1):
             raise DomainError("log: constant term must be 1")
-        return _log_impl(self, USeries.zero(self.var, self.trunc))
+        unit = self.truncate(max(self.trunc - 1, 1))     # s' is known below trunc - 1
+        return (self.derivative() * unit.invert_unit())._integral()
 
     def pow_binomial(self, e):
-        """(1 + t)**e for exact rational e; constant term must be 1."""
+        """(1 + t)**e = exp(e log(1 + t)) for exact rational e; constant term 1."""
         if self.constant_term() != GaussRational(1):
             raise DomainError("pow_binomial: constant term must be 1")
-        return _pow_binomial_impl(self, Fraction(e), USeries.zero(self.var, self.trunc))
+        return (self.log() * Fraction(e)).exp()
 
     def pow_int(self, n):
         if n < 0:
@@ -328,24 +343,31 @@ class USeries:
 
         Sound whenever t**self.trunc vanishes in t's ring; univariate
         arguments are truncated down to the honest composition order
-        (self.trunc times the valuation of t), trivariate arguments must
-        already satisfy the bound (the callers over-allocate).
+        (self.trunc times the valuation of t), where the bound holds, so
+        the powers stop at the highest stored degree of self.  Trivariate
+        arguments must already satisfy the bound (the callers
+        over-allocate), and it is checked.
         """
         if not t.constant_term().is_zero():
             raise DomainError("eval_at: argument must have zero constant term")
-        if isinstance(t, USeries) and not t.is_zero():
-            t = t.truncate(self.trunc * t.order())
+        univariate = isinstance(t, USeries)
+        if univariate:
+            if not t.is_zero():
+                t = t.truncate(self.trunc * t.order())
+            top = max(self.coeffs, default=0) + 1
+        else:
+            top = self.trunc
         one = t.ring_one()
         acc = one * self.coeff(0)
         power = one
-        for k in range(1, self.trunc):
+        for k in range(1, top):
             power = power * t
             if power.is_zero():
                 return acc
             c = self.coeff(k)
             if not c.is_zero():
                 acc = acc + power * c
-        if not (power * t).is_zero():
+        if not univariate and not (power * t).is_zero():
             raise PrecisionError(
                 "eval_at: composition not determined at this truncation")
         return acc
@@ -402,6 +424,78 @@ def _exp_graded(coeffs, den, grade, ngrades, mul):
     return out, math.factorial(top) * den ** top
 
 
+def _combine_shifted(base, shift, terms, trunc):
+    """base + var**shift * sum(c * s for c, s in terms), below trunc.
+
+    One pass over integer pairs and one content normalization, where
+    scaling, shifting, truncating and adding would normalize at every
+    step.  The result is exact below min(trunc, base.trunc, s.trunc +
+    shift) over the terms with c != 0, which is its truncation.
+    """
+    parts = [(s, *_scalar_triple(c)) for c, s in terms if c]
+    trunc = min([trunc, base.trunc] + [s.trunc + shift for s, *_ in parts])
+    den = base.den
+    for s, _, _, d in parts:
+        den = math.lcm(den, s.den * d)
+    m = den // base.den
+    out = {k: (a * m, b * m) for k, (a, b) in base.coeffs.items() if k < trunc}
+    for s, ca, cb, d in parts:
+        m = den // (s.den * d)
+        ca, cb = ca * m, cb * m
+        for k, (a, b) in s.coeffs.items():
+            k += shift
+            if k >= trunc:
+                continue
+            re, im = a * ca - b * cb, a * cb + b * ca
+            cur = out.get(k)
+            if cur is not None:
+                re, im = re + cur[0], im + cur[1]
+            out[k] = (re, im)
+    out = {k: v for k, v in out.items() if v[0] or v[1]}
+    return USeries._raw(base.var, trunc, out, den)
+
+
+def _div_quadratic(s, k, c1, c2):
+    """s / (1 + c1 var**k + c2 var**(2k)) for scalars c1, c2 and k >= 1.
+
+    The quotient n obeys the two-term recurrence
+    n_d = s_d - c1 n_(d-k) - c2 n_(d-2k).  With c1 = T/L, c2 = C/L over
+    one denominator L, nu_d = L**(d//k) den n_d stays integral:
+    nu_d = L**(d//k) s_d den - T nu_(d-k) - L C nu_(d-2k).
+    """
+    if not c1 and not c2:
+        return s
+    a1, b1, d1 = _scalar_triple(c1)
+    a2, b2, d2 = _scalar_triple(c2)
+    L = math.lcm(d1, d2)
+    t1, t2 = a1 * (L // d1), b1 * (L // d1)
+    u1, u2 = a2 * (L // d2) * L, b2 * (L // d2) * L
+    top = (s.trunc - 1) // k
+    Lpow = [1]
+    for _ in range(max(top, 0)):
+        Lpow.append(Lpow[-1] * L)
+    nu = {}
+    for d in range(s.trunc):
+        x, y = s.coeffs.get(d, (0, 0))
+        lp = Lpow[d // k]
+        re, im = x * lp, y * lp
+        p = nu.get(d - k)
+        if p is not None:
+            re -= t1 * p[0] - t2 * p[1]
+            im -= t1 * p[1] + t2 * p[0]
+        p = nu.get(d - 2 * k)
+        if p is not None:
+            re -= u1 * p[0] - u2 * p[1]
+            im -= u1 * p[1] + u2 * p[0]
+        if re or im:
+            nu[d] = (re, im)
+    out = {d: (re * Lpow[top - d // k], im * Lpow[top - d // k])
+           for d, (re, im) in nu.items()}
+    return USeries._raw(s.var, s.trunc, out, s.den * Lpow[max(top, 0)])
+
+
+# Horner forms, used by TriSeries.log and TriSeries.pow_binomial.
+
 def _log_impl(s, zero_ring):
     # Horner form: log(1+t) = t(1 + t(-1/2 + t(1/3 + ...)))
     t = s - s.ring_one()
@@ -430,20 +524,6 @@ def _nilpotency_bound(t):
     if o == 0:
         raise DomainError("argument must have positive valuation")
     return t.total_degree_cap() // o + 1
-
-
-# -- mixins giving USeries/TriSeries the shared valuation interface ------
-
-def _us_min_total_order(self):
-    return self.order()
-
-
-def _us_total_degree_cap(self):
-    return max(self.trunc - 1, 0)
-
-
-USeries.min_total_order = _us_min_total_order
-USeries.total_degree_cap = _us_total_degree_cap
 
 
 def _term_str(d, q, var):

@@ -3,13 +3,15 @@ from fractions import Fraction
 
 import pytest
 
+from segreode import gauge as gauge_mod
 from segreode.errors import DomainError
-from segreode.gauge import (ScalarGauge, companion_gauge,
-                            conjugation_residual, divergence_report,
-                            formal_fundamental, formal_solution_coeffs,
-                            gauge_chi_tau, linear_family,
-                            monodromy_at_infinity, poincare_dulac, reversion,
-                            riccati_check, to_system, transform_ode_by_gauge)
+from segreode.gauge import (LinSystem, Mat2, PDResult, PDStep, ScalarGauge,
+                            companion_gauge, conjugation_residual,
+                            divergence_report, formal_fundamental,
+                            formal_solution_coeffs, gauge_chi_tau,
+                            linear_family, monodromy_at_infinity,
+                            poincare_dulac, reversion, riccati_check,
+                            to_system, transform_ode_by_gauge)
 from segreode.odes import P0Ode
 from segreode.scalars import GaussRational
 from segreode.series import ULaurent, USeries
@@ -77,6 +79,107 @@ def test_poincare_dulac_conjugation_identity():
         sys_ = to_system(linear_family(gamma, trunc=20))
         pd = poincare_dulac(sys_, 12)
         assert conjugation_residual(sys_, pd).is_zero()
+
+
+def _reference_poincare_dulac(sys, order):
+    """Degreewise normalization with full 2x2 series products by T and T^-1.
+
+    The straightforward form of ``poincare_dulac``: every step inverts
+    T = I + H w^k through its determinant and multiplies the dense
+    matrices at full truncation.
+    """
+    lead = sys.A.coeff_matrix(0)
+    lam = (lead[0][0], lead[1][1])
+    p = sys.pole
+    var = sys.var
+    trunc = min(e.trunc for row in sys.A.a for e in row)
+    cur = sys.A
+    gauge = Mat2.identity(var, trunc)
+    steps, residues, obstructions = [], [], []
+
+    def apply_factor(cur, gauge, H, k):
+        T = Mat2.identity(var, trunc) + Mat2.from_consts(H, var, trunc).map(
+            lambda e: e.shift_up(k).truncate(trunc))
+        Dterm = Mat2.from_consts(H, var, trunc).map(
+            lambda e: (e * k).shift_up(k + p - 1).truncate(trunc))
+        a = T.a
+        dinv = (a[0][0] * a[1][1] - a[0][1] * a[1][0]).invert_unit()
+        Tinv = Mat2(((a[1][1] * dinv, -a[0][1] * dinv),
+                     (-a[1][0] * dinv, a[0][0] * dinv)))
+        return Tinv * (cur * T - Dterm), gauge * T
+
+    for k in range(1, order + 1):
+        B = cur.coeff_matrix(k)
+        H = [[ZERO, ZERO], [ZERO, ZERO]]
+        for i in range(2):
+            for j in range(2):
+                div = lam[i] - lam[j] - (k if p == 1 else 0)
+                if i == j and p != 1:
+                    continue
+                if div.is_zero():
+                    if not B[i][j].is_zero():
+                        obstructions.append((k, (i, j), B[i][j]))
+                    continue
+                H[i][j] = -B[i][j] / div
+        if any(H[i][j] for i in range(2) for j in range(2)):
+            cur, gauge = apply_factor(cur, gauge, H, k)
+            steps.append(PDStep("offdiag" if p != 1 else "fuchsian", k, k,
+                                tuple(tuple(r) for r in H)))
+        if p >= 2:
+            B = cur.coeff_matrix(k)
+            diag = (B[0][0], B[1][1])
+            if k >= p:
+                if diag[0] or diag[1]:
+                    jord = k - p + 1
+                    S = [[diag[0] / jord, ZERO], [ZERO, diag[1] / jord]]
+                    cur, gauge = apply_factor(cur, gauge, S, jord)
+                    steps.append(PDStep("diag", k, jord, tuple(tuple(r) for r in S)))
+            elif diag[0] or diag[1]:
+                residues.append((k, diag))
+    nf = LinSystem(p, cur.truncate(min(trunc, order + 1)))
+    return PDResult(nf, gauge, tuple(steps), tuple(residues),
+                    tuple(obstructions), order)
+
+
+def _assert_same_pd(got, want):
+    assert got.steps == want.steps
+    assert got.residues == want.residues
+    assert got.obstructions == want.obstructions
+    assert got.order == want.order
+    assert got.normal_form.pole == want.normal_form.pole
+    for mine, ref in ((got.gauge, want.gauge), (got.normal_form.A, want.normal_form.A)):
+        for i in range(2):
+            for j in range(2):
+                assert mine[i, j].trunc == ref[i, j].trunc
+                assert mine[i, j] == ref[i, j]
+    assert got == want
+
+
+@pytest.mark.parametrize("gamma", [1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2),
+                                   Fraction(2, 3), Fraction(-2, 3)])
+def test_poincare_dulac_matches_reference(gamma):
+    for order in (8, 16, 32):
+        sys_ = to_system(linear_family(gamma, trunc=order + 6))
+        _assert_same_pd(poincare_dulac(sys_, order + 2),
+                        _reference_poincare_dulac(sys_, order + 2))
+
+
+@pytest.mark.parametrize("gamma", [1, -2, Fraction(-1, 2), Fraction(2, 3)])
+def test_fuchsian_poincare_dulac_matches_reference(gamma, monkeypatch):
+    seen = []
+
+    def spy(sys, order):
+        seen.append((sys, order))
+        return poincare_dulac(sys, order)
+    monkeypatch.setattr(gauge_mod, "poincare_dulac", spy)
+    for trunc, order in ((16, 10), (30, 20)):
+        monodromy_at_infinity(to_system(linear_family(gamma, trunc=trunc)), order)
+    assert len(seen) == 2
+    for sys_, order in seen:
+        assert sys_.pole == 1
+        pd = poincare_dulac(sys_, order)
+        assert any(s.kind == "fuchsian" for s in pd.steps)
+        _assert_same_pd(pd, _reference_poincare_dulac(sys_, order))
 
 
 def test_formal_solution_recurrence_values():
@@ -147,6 +250,17 @@ def test_reversion_and_compose():
         h = reversion(g)
         assert g.eval_at(h).equal_mod(USeries.monomial(1, 1, trunc=14))
         assert h.eval_at(g).equal_mod(USeries.monomial(1, 1, trunc=14))
+
+
+def test_reversion_returned_truncation():
+    # Newton divides by g', known one degree less than g: the inverse is
+    # exact below g.trunc - 1, unless g is exactly linear
+    for trunc in (3, 4, 9, 14):
+        g = USeries("w", trunc, {1: 2, 2: Fraction(1, 3)})
+        assert reversion(g).trunc == trunc - 1
+    for trunc in (2, 3, 14):
+        h = reversion(USeries.monomial(1, G(3, 1), trunc=trunc))
+        assert h == USeries.monomial(1, 1 / G(3, 1), trunc=trunc)
 
 
 def test_gauge_group_laws():
@@ -240,6 +354,15 @@ def test_divergence_certificate():
         divergence_report(0, 60)
     with pytest.raises(DomainError):
         divergence_report(1, 6)
+
+
+def test_divergence_certificate_is_sufficient_only():
+    # at gamma = -3 the ratio |a_(k+3)/a_k| drops below k/4 at k = 31,
+    # so the certificate fails at the CLI default of 60 terms
+    rep = divergence_report(-3, 60)
+    assert not rep.certificate_ok
+    assert rep.first_violation == 31
+    assert rep.min_margin < 1
 
 
 def test_divergence_parity_reality():

@@ -127,6 +127,17 @@ def test_cli_divergence_and_monodromy(capsys):
     capsys.readouterr()
 
 
+def test_cli_gauge_rejects_undecidable_order(capsys):
+    # below order 5 tau = w + O(w^5) cannot fail, so the claim is refused
+    assert run_cli(["verify", "gauge", "--gamma", "1", "--order", "4"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "at least 5" in err
+    assert "Traceback" not in err
+    assert run_cli(["verify", "gauge", "--gamma", "1", "--order", "5"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("[PASS]") == 4
+
+
 def test_cli_pipeline_deterministic(tmp_path, capsys):
     d1, d2 = tmp_path / "run1", tmp_path / "run2"
     args = ["pipeline", "--a", "1", "--b", "0,0,0,0,1", "--c", "0",

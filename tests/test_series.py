@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from segreode.errors import DomainError, StructureError
+from segreode.gauge import reversion
 from segreode.scalars import GaussRational
-from segreode.series import TriSeries, ULaurent, USeries
+from segreode.series import (TriSeries, ULaurent, USeries, _combine_shifted,
+                             _div_quadratic)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 gauss = st.builds(GaussRational, fractions, fractions)
@@ -44,6 +46,15 @@ def nilpotent_triseries(draw):
                      st.integers(0, truncs[1] - 1), st.integers(0, truncs[2] - 1))
     terms = draw(st.dictionaries(keys.filter(any), gauss, max_size=5))
     return TriSeries(("z", "xi", "eta"), truncs, terms)
+
+
+@st.composite
+def coordinate_useries(draw):
+    """g = c w + O(w^2) with c != 0, as reversion takes."""
+    trunc = draw(st.integers(2, 10))
+    terms = draw(st.dictionaries(st.integers(2, max(trunc - 1, 2)), gauss, max_size=5))
+    terms[1] = draw(gauss.filter(lambda q: not q.is_zero()))
+    return USeries("w", trunc, terms)
 
 
 def naive_exp(t):
@@ -230,6 +241,71 @@ def test_exp_trivariate_against_power_sum(t):
     assert e * (-t).exp() == t.ring_one()
 
 
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_useries())
+def test_log_inverts_exp(t):
+    assert t.exp().log() == t
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_useries(), fractions, st.integers(-3, 3))
+def test_pow_binomial_group_law(t, e, n):
+    s = t + 1
+    assert s.pow_binomial(e) * s.pow_binomial(-e) == s.ring_one()
+    assert s.pow_binomial(n) == s.pow_int(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nilpotent_useries(), gauss.filter(lambda q: not q.is_zero()))
+def test_invert_unit_is_inverse(t, c):
+    s = t + c
+    inv = s.invert_unit()
+    assert inv.trunc == s.trunc
+    assert inv * s == s.ring_one()
+
+
+@settings(max_examples=60, deadline=None)
+@given(useries(), useries(), useries(), gauss, gauss, st.integers(0, 3))
+def test_combine_shifted_matches_ring_ops(base, a, b, ca, cb, shift):
+    want = (base + (a * ca + b * cb).shift_up(shift)).truncate(8)
+    assert _combine_shifted(base, shift, [(ca, a), (cb, b)], 8) == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(useries(), gauss, gauss, st.integers(1, 4))
+def test_div_quadratic_inverts_the_quadratic(s, c1, c2, k):
+    q = USeries("w", s.trunc, {0: 1, k: c1, 2 * k: c2})
+    quot = _div_quadratic(s, k, c1, c2)
+    assert quot * q == s
+    assert quot == s * q.invert_unit()
+
+
+def naive_compose(s, t):
+    """s(t) by forward powers, t already at the honest composition order."""
+    acc = t.ring_one() * s.coeff(0)
+    power = t.ring_one()
+    for k in range(1, s.trunc):
+        power = power * t
+        acc = acc + power * s.coeff(k)
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(useries(max_terms=8), nilpotent_useries())
+def test_compose_against_power_sum(s, t):
+    honest = t if t.is_zero() else t.truncate(s.trunc * t.order())
+    assert s.eval_at(t) == naive_compose(s, honest)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coordinate_useries())
+def test_reversion_inverts_composition(g):
+    h = reversion(g)
+    w_h = USeries.monomial(1, 1, "w", h.trunc)
+    assert g.eval_at(h) == w_h
+    assert h.eval_at(g) == w_h
+
+
 def test_exp_grades_z_free_arguments_by_total_degree():
     t = TriSeries(("z", "xi", "eta"), (3, 3, 4),
                   {(0, 0, 1): 1, (0, 1, 0): GaussRational(0, 1), (1, 0, 2): 2})
@@ -291,3 +367,43 @@ def test_exp_against_sympy(seed):
             for j in range(te):
                 want = ref.coeff_monomial(z ** k * xi ** l * eta ** j)
                 assert sympy.expand(want - _sym(e.coeff(k, l, j))) == 0
+
+
+def _sympy_coeffs(expr, x, n):
+    sympy = pytest.importorskip("sympy")
+    poly = sympy.Poly(sympy.expand(sympy.series(expr, x, 0, n).removeO()), x)
+    return [poly.coeff_monomial(x ** d) for d in range(n)]
+
+
+def _assert_matches(series, ref):
+    import sympy
+    assert len(ref) == series.trunc
+    for d, want in enumerate(ref):
+        assert sympy.expand(want - _sym(series.coeff(d))) == 0
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_univariate_ops_against_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    uni, _ = _sample_args(seed)
+    uni = uni.truncate(6)
+    x = sympy.Symbol("w")
+    arg = sum(_sym(q) * x ** d for d, q in uni.terms())
+    s = uni + 1
+    _assert_matches(s.log(), _sympy_coeffs(sympy.log(1 + arg), x, s.trunc))
+    for e in (Fraction(-1, 3), Fraction(5, 2)):
+        _assert_matches(s.pow_binomial(e),
+                        _sympy_coeffs((1 + arg) ** sympy.Rational(e.numerator, e.denominator),
+                                      x, s.trunc))
+    c = GaussRational(2, -1)
+    _assert_matches((uni + c).invert_unit(),
+                    _sympy_coeffs(1 / (_sym(c) + arg), x, s.trunc))
+    # Lagrange inversion: [w^n] g^(-1) = [z^(n-1)] (z/g(z))^n / n
+    g = uni + USeries.monomial(1, c, trunc=uni.trunc) - \
+        USeries.monomial(1, uni.coeff(1), trunc=uni.trunc)
+    gsym = sum(_sym(q) * x ** d for d, q in g.terms())
+    h = reversion(g)
+    ref = [sympy.Integer(0)] + [
+        _sympy_coeffs(sympy.cancel((x / gsym) ** n), x, n)[n - 1] / n
+        for n in range(1, h.trunc)]
+    _assert_matches(h, ref)
