@@ -4,6 +4,10 @@ Exit codes: 0 all checks passed, 1 at least one check failed,
 2 invalid input (parse error, missing file, bad flags).  ``--json``
 switches the report stream to the structured form.  The default
 truncation honors the SEGREODE_TRUNC environment variable.
+
+Each claim is decided by one ``check_*`` function over in-memory
+objects; ``verify`` (after loading its input) and ``pipeline`` both call
+them, so a claim reads the same on either path.
 """
 
 from __future__ import annotations
@@ -31,17 +35,25 @@ from .segre import (RealStructureData, build_real, extract_real,
 from .series import USeries
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT = 0, 1, 2
+MIN_TRUNC = 4
 
 
-def default_trunc():
-    raw = os.environ.get("SEGREODE_TRUNC", "16")
-    try:
-        val = int(raw)
-    except ValueError:
-        raise SegreOdeError(f"SEGREODE_TRUNC must be an integer, got {raw!r}")
-    if val < 4:
-        raise SegreOdeError("SEGREODE_TRUNC must be at least 4")
-    return val
+def resolve_trunc(flag, default=None):
+    """``--trunc`` if set, else ``default``, else SEGREODE_TRUNC (16); >= 4."""
+    if flag is not None:
+        value, source = flag, "--trunc"
+    elif default is not None:
+        return default
+    else:
+        raw = os.environ.get("SEGREODE_TRUNC", "16")
+        try:
+            value = int(raw)
+        except ValueError:
+            raise SegreOdeError(f"SEGREODE_TRUNC must be an integer, got {raw!r}")
+        source = "SEGREODE_TRUNC"
+    if value < MIN_TRUNC:
+        raise SegreOdeError(f"{source} must be at least {MIN_TRUNC}, got {value}")
+    return value
 
 
 def emit_reports(reports, as_json):
@@ -66,10 +78,65 @@ def _real_data(args, trunc):
     return RealStructureData(a=a, b=b, c=c, m=args.m)
 
 
+# -- checks: one function per claim, shared by verify and pipeline -----------
+
+def _verdict(claim, ok, witness_fn, residual_order=None):
+    """PASS, or FAIL carrying ``witness_fn()`` as its witness."""
+    return Report(claim, "pass" if ok else "fail", residual_order=residual_order,
+                  witness=None if ok else witness_fn())
+
+
+def check_structural_relations(ode):
+    violations = validate_p0(ode)
+    return _verdict("structural-relations", not violations,
+                    lambda: "; ".join(map(str, violations)))
+
+
+def check_semi_invariant(ode, name):
+    """Claim ``semi-invariant-<name>-vanishes``, ``name`` "L1" or "L2"."""
+    val = {"L1": tresse_l1, "L2": tresse_l2}[name](ode.rhs_poly())
+    return _verdict(f"semi-invariant-{name}-vanishes", val.is_zero(),
+                    lambda: json.dumps({f"y^{i}*y1^{j}": repr(c)
+                                        for (i, j), c in val.coeffs.items()}))
+
+
+def check_real_structure(ode, m, truncs):
+    rep = reality_check(ode, m, truncs=truncs)
+    return _verdict("real-structure", rep.ok, lambda: str(rep),
+                    residual_order=rep.checked_order)
+
+
+def check_family_residual(ode, phi):
+    res = family_residual(ode, phi)
+    ok = res.is_zero()
+    return _verdict("family-solves-inverse-ode", ok, lambda: repr(res),
+                    residual_order=None if ok else res.min_total_order())
+
+
+def check_defining_series_reality(jet):
+    rep = reality_verify(jet)
+    return _verdict("defining-series-reality", rep.ok, lambda: str(rep))
+
+
+def check_tangency(jet, name, field):
+    rep = tangency_check(jet, field)
+    return _verdict(f"tangency-field-{name}", rep.ok, lambda: repr(rep.residual),
+                    residual_order=rep.residual_order())
+
+
+def check_classification_roundtrip(ode):
+    _, failures = extract_real(ode)
+    return _verdict("classification-data-roundtrip", not failures,
+                    lambda: "; ".join(map(str, failures)))
+
+
+LINEAR_FAMILY_INFO = Report("linear-family", "info")
+
+
 # -- build ----------------------------------------------------------------
 
 def cmd_build(args):
-    trunc = args.trunc or default_trunc()
+    trunc = resolve_trunc(args.trunc)
     if args.m < 1:
         raise SegreOdeError("m must be a positive integer")
     ode = build_real(_real_data(args, trunc))
@@ -85,61 +152,32 @@ def cmd_build(args):
 # -- verify ---------------------------------------------------------------
 
 def verify_p0(args):
-    ode = load_ode(args.ode)
-    violations = validate_p0(ode)
-    if not violations:
-        return [Report("structural-relations", "pass")]
-    return [Report("structural-relations", "fail",
-                   witness="; ".join(map(str, violations)))]
+    return [check_structural_relations(load_ode(args.ode))]
 
 
 def verify_tresse(args):
     ode = load_ode(args.ode)
-    phi = ode.rhs_poly()
-    l1, l2 = tresse_l1(phi), tresse_l2(phi)
-    out = []
-    for name, val in (("semi-invariant-L1", l1), ("semi-invariant-L2", l2)):
-        if val.is_zero():
-            out.append(Report(name + "-vanishes", "pass"))
-        else:
-            witness = {f"y^{i}*y1^{j}": repr(c) for (i, j), c in val.coeffs.items()}
-            out.append(Report(name + "-vanishes", "fail", witness=json.dumps(witness)))
-    return out
+    return [check_semi_invariant(ode, "L1"), check_semi_invariant(ode, "L2")]
 
 
 def verify_reality(args):
     ode = load_ode(args.ode)
-    m = args.m or ode.m
-    rep = reality_check(ode, m, truncs=_phi_truncs(args))
-    if rep.ok:
-        return [Report("real-structure", "pass", residual_order=rep.checked_order)]
-    witness = "; ".join(f"slice {mm.slice} first degree {mm.first_degree}"
-                        for mm in rep.mismatches)
-    return [Report("real-structure", "fail", witness=witness)]
+    return [check_real_structure(ode, args.m or ode.m, _phi_truncs(args))]
 
 
 def verify_segre_residual(args):
     ode = load_ode(args.ode)
-    m = args.m or ode.m
-    phi = solve_phi(ode, m, args.sign, truncs=_phi_truncs(args))
-    res = family_residual(ode, phi)
-    if res.is_zero():
-        return [Report("family-solves-inverse-ode", "pass",
-                       residual_order=None)]
-    return [Report("family-solves-inverse-ode", "fail",
-                   residual_order=res.min_total_order(),
-                   witness=repr(res))]
+    phi = solve_phi(ode, args.m or ode.m, args.sign, truncs=_phi_truncs(args))
+    return [check_family_residual(ode, phi)]
 
 
 def verify_riccati(args):
     ode = load_ode(args.ode)
     p = parse_monomial_expr(args.p, trunc=ode.trunc)
     rep = riccati_check(ode, p)
-    if rep.ok:
-        return [Report("log-derivative-witness", "pass")]
-    return [Report("log-derivative-witness", "fail",
-                   residual_order=rep.residual.order(),
-                   witness=json.dumps(ulaurent_to_json(rep.residual)))]
+    return [_verdict("log-derivative-witness", rep.ok,
+                     lambda: json.dumps(ulaurent_to_json(rep.residual)),
+                     residual_order=None if rep.ok else rep.residual.order())]
 
 
 def verify_monodromy(args):
@@ -147,10 +185,9 @@ def verify_monodromy(args):
     rep = monodromy_at_infinity(to_system(ode))
     payload = {"eigenvalues": [str(e) for e in rep.eigenvalues],
                "obstructions": [[k, list(ij), str(v)] for k, ij, v in rep.obstructions]}
-    if rep.trivial:
-        return [Report("trivial-monodromy", "pass", residual_order=rep.order,
-                       witness=json.dumps(payload))]
-    return [Report("trivial-monodromy", "fail", witness=json.dumps(payload))]
+    return [Report("trivial-monodromy", "pass" if rep.trivial else "fail",
+                   residual_order=rep.order if rep.trivial else None,
+                   witness=json.dumps(payload))]
 
 
 def verify_divergence(args):
@@ -158,11 +195,11 @@ def verify_divergence(args):
     payload = {"a1": str(rep.coeffs[1]), "a2": str(rep.coeffs[2]),
                "min_margin": str(rep.min_margin),
                "table": [[k, v] for k, v in rep.table(args.table)]}
-    claim = "formal-solution-superlinear-growth"
-    if rep.certificate_ok:
-        return [Report(claim, "pass", witness=json.dumps(payload))]
-    payload["first_violation"] = rep.first_violation
-    return [Report(claim, "fail", witness=json.dumps(payload))]
+    if not rep.certificate_ok:
+        payload["first_violation"] = rep.first_violation
+    return [Report("formal-solution-superlinear-growth",
+                   "pass" if rep.certificate_ok else "fail",
+                   witness=json.dumps(payload))]
 
 
 GAUGE_MIN_ORDER = 5
@@ -176,55 +213,40 @@ def verify_gauge(args):
         # where tau = w + O(w^5) holds by construction and cannot fail
         raise SegreOdeError(f"gauge: --order must be at least {GAUGE_MIN_ORDER}"
                             f" to decide tau = w + O(w^5), got {order}")
-    out = []
     fhat, ghat = formal_fundamental(gamma, order)
     gauge = gauge_chi_tau(fhat, ghat)
-    chi_ok = gauge.f.constant_term() == GaussRational(1)
     dev = gauge.g - USeries.monomial(1, 1, "w", gauge.g.trunc)
-    tau_ok = dev.is_zero() or dev.order() >= 5
-    out.append(Report("gauge-normalization-chi", "pass" if chi_ok else "fail",
-                      witness=None if chi_ok else repr(gauge.f)))
-    out.append(Report("gauge-normalization-tau", "pass" if tau_ok else "fail",
-                      witness=None if tau_ok else repr(gauge.g)))
+    out = [_verdict("gauge-normalization-chi",
+                    gauge.f.constant_term() == GaussRational(1),
+                    lambda: repr(gauge.f)),
+           _verdict("gauge-normalization-tau", dev.is_zero() or dev.order() >= 5,
+                    lambda: repr(gauge.g))]
     target = linear_family(gamma, trunc=order + 4)
     base = linear_family(0, trunc=order + 4)
     moved = transform_ode_by_gauge(base, gauge, target=target)
-    ok = moved.matches_target()
-    out.append(Report("gauge-straightens-family", "pass" if ok else "fail",
-                      residual_order=moved.residual_order(),
-                      witness=None if ok else repr(moved.residual_P)))
+    out.append(_verdict("gauge-straightens-family", moved.matches_target(),
+                        lambda: repr(moved.residual_P),
+                        residual_order=moved.residual_order()))
     comp = companion_gauge(gauge, 4)
     sym = (comp.f.equal_mod(gauge.f.conjugate(), comp.f.trunc - 1)
            and comp.g.equal_mod(gauge.g.conjugate(), comp.g.trunc - 1))
-    out.append(Report("companion-is-conjugate-gauge", "pass" if sym else "fail",
-                      witness=None if sym else repr(comp.f)))
+    out.append(_verdict("companion-is-conjugate-gauge", sym, lambda: repr(comp.f)))
     return out
 
 
 def verify_tangency(args):
-    if args.ode:
-        ode = load_ode(args.ode)
-    else:
-        ode = linear_family(0, trunc=14)
-    m = args.m or ode.m
-    phi = solve_phi(ode, m, 1, truncs=_phi_truncs(args, default=(6, 6, 14)))
+    ode = load_ode(args.ode) if args.ode else linear_family(0, trunc=14)
+    phi = solve_phi(ode, args.m or ode.m, 1,
+                    truncs=_phi_truncs(args, default=(6, 6, 14)))
     jet = build_hypersurface(phi)
-    out = []
-    real = reality_verify(jet)
-    out.append(Report("defining-series-reality", "pass" if real.ok else "fail",
-                      witness=None if real.ok else str(real)))
+    out = [check_defining_series_reality(jet)]
     if args.field:
         with open(args.field) as fh:
             fields = [("custom", field_from_json(json.load(fh)))]
     else:
         fields = [(f"model-{i}", X)
                   for i, X in enumerate(sphere_pushforward_fields(), start=1)]
-    for name, X in fields:
-        r = tangency_check(jet, X)
-        out.append(Report(f"tangency-field-{name}", "pass" if r.ok else "fail",
-                          residual_order=r.residual_order(),
-                          witness=None if r.ok else repr(r.residual)))
-    return out
+    return out + [check_tangency(jet, name, X) for name, X in fields]
 
 
 VERIFIERS = {
@@ -248,10 +270,10 @@ def cmd_verify(args):
 # -- pipeline ---------------------------------------------------------------
 
 def cmd_pipeline(args):
-    trunc = args.trunc or default_trunc()
+    trunc = resolve_trunc(args.trunc)
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
-    artifacts, reports = {}, []
+    artifacts = {}
 
     def write(name, text):
         path = os.path.join(outdir, name)
@@ -259,47 +281,21 @@ def cmd_pipeline(args):
             fh.write(text)
         artifacts[name] = {"path": path, "sha256": sha256_of(text)}
 
-    data = _real_data(args, trunc)
-    ode = build_real(data)
+    ode = build_real(_real_data(args, trunc))
     write("ode.json", dumps_canonical(ode_to_json(ode)))
-
-    violations = validate_p0(ode)
-    reports.append(Report("structural-relations", "pass" if not violations
-                          else "fail",
-                          witness=None if not violations
-                          else "; ".join(map(str, violations))))
-    l2 = tresse_l2(ode.rhs_poly())
-    reports.append(Report("semi-invariant-L2-vanishes",
-                          "pass" if l2.is_zero() else "fail",
-                          witness=None if l2.is_zero() else repr(l2)))
+    reports = [check_structural_relations(ode), check_semi_invariant(ode, "L2")]
 
     truncs = (args.dz, args.dz, trunc)
     phi = solve_phi(ode, args.m, 1, truncs=truncs)
     write("family.json", dumps_canonical(phi_to_json(phi)))
-
-    res = family_residual(ode, phi)
-    reports.append(Report("family-solves-inverse-ode",
-                          "pass" if res.is_zero() else "fail",
-                          witness=None if res.is_zero() else repr(res)))
-    rc = reality_check(ode, args.m, truncs=truncs)
-    reports.append(Report("real-structure", "pass" if rc.ok else "fail",
-                          residual_order=rc.checked_order,
-                          witness=None if rc.ok else str(rc)))
+    reports += [check_family_residual(ode, phi),
+                check_real_structure(ode, args.m, truncs)]
 
     jet = build_hypersurface(phi)
     write("hypersurface.json", dumps_canonical(hyperjet_to_json(jet)))
-    rv = reality_verify(jet)
-    reports.append(Report("defining-series-reality", "pass" if rv.ok else "fail",
-                          witness=None if rv.ok else str(rv)))
-
-    extracted, failures = extract_real(ode)
-    reports.append(Report("classification-data-roundtrip",
-                          "pass" if not failures else "fail",
-                          witness=None if not failures
-                          else "; ".join(map(str, failures))))
-
+    reports += [check_defining_series_reality(jet), check_classification_roundtrip(ode)]
     if ode.is_linear():
-        reports.append(Report("linear-family", "info"))
+        reports.append(LINEAR_FAMILY_INFO)
 
     write("reports.json", dumps_canonical([r.to_json() for r in reports]))
     manifest = {
@@ -313,11 +309,9 @@ def cmd_pipeline(args):
                     "failed": sum(r.status == "fail" for r in reports)},
     }
     write("manifest.json", dumps_canonical(manifest))
-    for r in reports:
-        print(r.line())
+    code = emit_reports(reports, as_json=False)
     print(f"artifacts written to {outdir}")
-    return (EXIT_OK if all(r.status != "fail" for r in reports)
-            else EXIT_CHECK_FAILED)
+    return code
 
 
 # -- plumbing ----------------------------------------------------------------
@@ -327,9 +321,8 @@ def _gamma(args):
 
 
 def _phi_truncs(args, default=(5, 5, 12)):
-    dz = getattr(args, "dz", None) or default[0]
-    de = getattr(args, "trunc", None) or default[2]
-    return (dz, dz, de)
+    dz = args.dz or default[0]
+    return (dz, dz, resolve_trunc(args.trunc, default[2]))
 
 
 def build_parser():

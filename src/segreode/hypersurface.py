@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .scalars import GaussRational
 from .segre import AdmissiblePhi
-from .series import TriSeries
+from .series import TriSeries, unpack
 
 HYPER_VARS = ("z", "zbar", "wbar")
 
@@ -83,15 +83,10 @@ def reality_verify(jet: HyperJet) -> RealityResult:
     diff = composed - w_mono
     if diff.is_zero():
         return RealityResult(True, None, composed.truncs)
-    key = min(diff.coeffs, key=lambda kk: (sum(_unpack3(kk)), _unpack3(kk)))
-    k, l, j = _unpack3(key)
+    key = min(diff.coeffs, key=lambda kk: (sum(unpack(kk)), unpack(kk)))
+    k, l, j = unpack(key)
     return RealityResult(False, RealityWitness((k, l, j), diff.coeff(k, l, j)),
                          composed.truncs)
-
-
-def _unpack3(key):
-    from .series import unpack
-    return unpack(key)
 
 
 class BiPoly:

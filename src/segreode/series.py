@@ -19,14 +19,9 @@ import math
 from fractions import Fraction
 
 from . import backend
+from .backend import MASK, SHIFT1, SHIFT2
 from .errors import DomainError, PrecisionError, StructureError
 from .scalars import GaussRational
-
-SHIFT1 = 42
-SHIFT2 = 21
-MASK = (1 << 21) - 1
-
-assert backend.get_kernels()["python"].SHIFT1 == SHIFT1
 
 
 def pack(k, l, j):
@@ -53,7 +48,11 @@ def _scalar_triple(q):
 
 
 def _content_normalize(coeffs, den):
-    """Reduce (coeffs, den) to primitive form; drops stored zero pairs."""
+    """Reduce (coeffs, den) to primitive form.
+
+    Stored zero pairs are kept (callers filter zeros themselves); an
+    empty dict comes back with denominator 1.
+    """
     if den < 0:
         raise AssertionError("denominator must stay positive")
     g = den

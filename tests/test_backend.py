@@ -1,57 +1,32 @@
-import random
-
-import pytest
-
-from segreode.backend import get_kernels
+from segreode import backend
 from segreode.series import pack
 
 
-def _rand_uni(rng, n=40, span=60):
-    return {rng.randrange(span): (rng.randint(-10**6, 10**6),
-                                  rng.randint(-10**6, 10**6))
-            for _ in range(n)}
-
-
-def _rand_tri(rng, n=80, bounds=(7, 7, 15)):
-    tz, tx, te = bounds
-    return {pack(rng.randrange(tz), rng.randrange(tx), rng.randrange(te)):
-            (rng.randint(-999, 999), rng.randint(-999, 999)) for _ in range(n)}
-
-
-def test_kernels_agree_univariate():
-    kernels = get_kernels()
-    rng = random.Random(1)
-    base = kernels["python"]
-    for trial in range(20):
-        a, b = _rand_uni(rng), _rand_uni(rng)
-        want = base.mul1(a, b, 48)
-        for name, k in kernels.items():
-            assert k.mul1(a, b, 48) == want, name
-
-
-def test_kernels_agree_trivariate():
-    kernels = get_kernels()
-    rng = random.Random(2)
-    base = kernels["python"]
-    for trial in range(20):
-        a, b = _rand_tri(rng), _rand_tri(rng)
-        want = base.mul3(a, b, 7, 7, 15)
-        for name, k in kernels.items():
-            assert k.mul3(a, b, 7, 7, 15) == want, name
-
-
 def test_kernels_big_integers():
-    kernels = get_kernels()
     big = 10**40
     a = {0: (big, -big), 3: (1, big)}
     b = {1: (big, big)}
-    want = kernels["python"].mul1(a, b, 10)
-    for name, k in kernels.items():
-        assert k.mul1(a, b, 10) == want, name
-    assert want[1] == (big * big + big * big, big * big - big * big)
+    assert backend.mul1(a, b, 10) == {1: (2 * big * big, 0),
+                                      4: (big - big * big, big + big * big)}
+    assert backend.mul1(a, b, 4) == {1: (2 * big * big, 0)}
 
 
-@pytest.mark.skipif("c" not in get_kernels(), reason="extension not built")
-def test_compiled_backend_present():
-    from segreode import backend
-    assert backend.BACKEND_NAME in ("c", "python")
+def test_kernels_big_integers_trivariate():
+    big = 10**40
+    a = {pack(0, 0, 0): (big, -big), pack(1, 2, 3): (1, big)}
+    b = {pack(0, 1, 1): (big, big)}
+    assert backend.mul3(a, b, 2, 4, 5) == {pack(0, 1, 1): (2 * big * big, 0),
+                                           pack(1, 3, 4): (big - big * big,
+                                                           big + big * big)}
+    for truncs in ((1, 4, 5), (2, 3, 5), (2, 4, 4)):
+        assert backend.mul3(a, b, *truncs) == {pack(0, 1, 1): (2 * big * big, 0)}
+
+
+def test_kernels_drop_cancelled_terms():
+    # (1 + w)(1 - w) = 1 - w^2: the w coefficient cancels and is not stored
+    assert backend.mul1({0: (1, 0), 1: (1, 0)}, {0: (1, 0), 1: (-1, 0)}, 3) == \
+        {0: (1, 0), 2: (-1, 0)}
+    a = {pack(0, 0, 0): (1, 0), pack(0, 0, 1): (0, 1)}
+    b = {pack(0, 0, 0): (1, 0), pack(0, 0, 1): (0, -1)}
+    assert backend.mul3(a, b, 1, 1, 3) == {pack(0, 0, 0): (1, 0),
+                                           pack(0, 0, 2): (1, 0)}

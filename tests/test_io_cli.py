@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from segreode.cli import main
+from segreode.cli import check_real_structure, main
 from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
                          parse_coeff_list, parse_monomial_expr, phi_from_json,
                          phi_to_json, Report, triseries_from_json,
@@ -13,9 +13,10 @@ from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
                          ulaurent_to_json, useries_from_json, useries_to_json)
 from segreode.errors import DomainError, StructureError
 from segreode.gauge import linear_family
+from segreode.odes import P0Ode
 from segreode.scalars import GaussRational
-from segreode.segre import build_real, solve_phi
-from segreode.series import ULaurent
+from segreode.segre import build_real, reality_check, solve_phi
+from segreode.series import ULaurent, USeries
 
 from conftest import rnd_complex_series, rnd_structure_data
 
@@ -106,6 +107,61 @@ def test_cli_invalid_inputs(tmp_path, capsys):
     assert run_cli(["build", "--a", "1", "--b", "0", "--m", "0"]) == 2
     assert run_cli(["verify", "p0", "--ode", str(tmp_path / "nope.json")]) == 2
     capsys.readouterr()
+
+
+def test_cli_trunc_below_minimum_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("SEGREODE_TRUNC", raising=False)
+    build = ["build", "--a", "1", "--b", "0,0,0,0,1", "--m", "4"]
+    ode = tmp_path / "ode.json"
+    assert run_cli(build + ["--trunc", "4", "-o", str(ode)]) == 0
+    assert ode_from_json(json.loads(ode.read_text())).trunc == 4
+    pipeline = ["pipeline", "--a", "1", "--b", "0", "--m", "4",
+                "--out-dir", str(tmp_path / "pl")]
+    for argv in (build + ["--trunc", "1"], build + ["--trunc", "0"],
+                 build + ["--trunc", "-3"], pipeline + ["--trunc", "1"],
+                 ["verify", "segre-residual", "--ode", str(ode), "--trunc", "2"]):
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--trunc must be at least 4" in err
+    assert not (tmp_path / "pl").exists()
+    monkeypatch.setenv("SEGREODE_TRUNC", "3")
+    assert run_cli(build) == 2
+    assert "SEGREODE_TRUNC must be at least 4" in capsys.readouterr().err
+
+
+def test_cli_pipeline_and_verify_report_alike(tmp_path, capsys):
+    outdir = tmp_path / "pl"
+    sizes = ["--dz", "4", "--trunc", "10"]
+    assert run_cli(["pipeline", "--a", "1,1/2", "--b", "0,0,1", "--c", "0,i",
+                    "--m", "2", *sizes, "--out-dir", str(outdir)]) == 0
+    capsys.readouterr()
+    piped = {r["claim"]: r for r in json.loads((outdir / "reports.json").read_text())}
+    seen = []
+    for check in ("p0", "reality", "segre-residual"):
+        assert run_cli(["verify", check, "--ode", str(outdir / "ode.json"),
+                        *sizes, "--json"]) == 0
+        for report in json.loads(capsys.readouterr().out):
+            assert report == piped[report["claim"]]
+            seen.append(report["claim"])
+    assert seen == ["structural-relations", "real-structure",
+                    "family-solves-inverse-ode"]
+
+
+def test_cli_reality_failure_is_the_check_report(tmp_path, capsys):
+    ode = linear_family(1, trunc=12)
+    bent = P0Ode(ode.m, ode.A, ode.B, ode.C, ode.D,
+                 ode.E + USeries.monomial(5, GaussRational(0, 1), trunc=ode.trunc),
+                 ode.F)
+    path = tmp_path / "bent.json"
+    path.write_text(dumps_canonical(ode_to_json(bent)))
+    assert run_cli(["verify", "reality", "--ode", str(path), "--json"]) == 1
+    got = json.loads(capsys.readouterr().out)
+    rep = reality_check(bent, 4, truncs=(5, 5, 12))
+    assert not rep.ok
+    want = check_real_structure(bent, 4, (5, 5, 12))
+    assert (want.status, want.witness, want.residual_order) == \
+        ("fail", str(rep), rep.checked_order)
+    assert got == [want.to_json()]
 
 
 def test_cli_verify_json_stream(tmp_path, capsys):

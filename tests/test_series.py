@@ -382,6 +382,27 @@ def _assert_matches(series, ref):
         assert sympy.expand(want - _sym(series.coeff(d))) == 0
 
 
+@pytest.mark.parametrize("valuation", (1, 2, 3))
+def test_eval_at_against_sympy(valuation):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(valuation)
+
+    def q():
+        return GaussRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                             Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    s = USeries("w", 6, {d: q() for d in range(6)})
+    terms = {d: q() for d in range(valuation + 1, valuation + 4)}
+    terms[valuation] = GaussRational(rng.randint(1, 3), rng.randint(-3, 3))
+    t = USeries("w", 9, terms)
+    x = sympy.Symbol("w")
+    ssym = sum(_sym(c) * x ** d for d, c in s.terms())
+    tsym = sum(_sym(c) * x ** d for d, c in t.terms())
+    comp = s.eval_at(t)
+    assert comp.trunc == min(s.trunc * valuation, t.trunc)
+    ref = sympy.Poly(sympy.expand(ssym.subs(x, tsym)), x)
+    _assert_matches(comp, [ref.coeff_monomial(x ** d) for d in range(comp.trunc)])
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_univariate_ops_against_sympy(seed):
     sympy = pytest.importorskip("sympy")
