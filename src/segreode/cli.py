@@ -36,6 +36,9 @@ from .series import USeries
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT = 0, 1, 2
 MIN_TRUNC = 4
+# The residual of the family lives on (dz - 2, dz, te), empty below
+# dz = 3, and the reality criterion reads the slices (k, l) <= (3, 3).
+MIN_DZ = 4
 
 
 def resolve_trunc(flag, default=None):
@@ -53,6 +56,14 @@ def resolve_trunc(flag, default=None):
         source = "SEGREODE_TRUNC"
     if value < MIN_TRUNC:
         raise SegreOdeError(f"{source} must be at least {MIN_TRUNC}, got {value}")
+    return value
+
+
+def resolve_dz(flag, default):
+    """``--dz`` if set, else ``default``; >= 4."""
+    value = default if flag is None else flag
+    if value < MIN_DZ:
+        raise SegreOdeError(f"--dz must be at least {MIN_DZ}, got {value}")
     return value
 
 
@@ -100,8 +111,8 @@ def check_semi_invariant(ode, name):
                                         for (i, j), c in val.coeffs.items()}))
 
 
-def check_real_structure(ode, m, truncs):
-    rep = reality_check(ode, m, truncs=truncs)
+def check_real_structure(ode, m, truncs, sign=1):
+    rep = reality_check(ode, m, sign, truncs=truncs)
     return _verdict("real-structure", rep.ok, lambda: str(rep),
                     residual_order=rep.checked_order)
 
@@ -162,7 +173,7 @@ def verify_tresse(args):
 
 def verify_reality(args):
     ode = load_ode(args.ode)
-    return [check_real_structure(ode, args.m or ode.m, _phi_truncs(args))]
+    return [check_real_structure(ode, args.m or ode.m, _phi_truncs(args), args.sign)]
 
 
 def verify_segre_residual(args):
@@ -271,6 +282,7 @@ def cmd_verify(args):
 
 def cmd_pipeline(args):
     trunc = resolve_trunc(args.trunc)
+    dz = resolve_dz(args.dz, 5)
     outdir = args.out_dir
     os.makedirs(outdir, exist_ok=True)
     artifacts = {}
@@ -285,7 +297,7 @@ def cmd_pipeline(args):
     write("ode.json", dumps_canonical(ode_to_json(ode)))
     reports = [check_structural_relations(ode), check_semi_invariant(ode, "L2")]
 
-    truncs = (args.dz, args.dz, trunc)
+    truncs = (dz, dz, trunc)
     phi = solve_phi(ode, args.m, 1, truncs=truncs)
     write("family.json", dumps_canonical(phi_to_json(phi)))
     reports += [check_family_residual(ode, phi),
@@ -301,7 +313,7 @@ def cmd_pipeline(args):
     manifest = {
         "format": 1,
         "inputs": {"a": args.a, "b": args.b, "c": args.c, "m": args.m,
-                   "trunc": trunc, "dz": args.dz},
+                   "trunc": trunc, "dz": dz},
         "versions": {"segreode": __version__},
         "artifacts": artifacts,
         "reports": {"total": len(reports),
@@ -321,7 +333,7 @@ def _gamma(args):
 
 
 def _phi_truncs(args, default=(5, 5, 12)):
-    dz = args.dz or default[0]
+    dz = resolve_dz(args.dz, default[0])
     return (dz, dz, resolve_trunc(args.trunc, default[2]))
 
 
@@ -366,7 +378,7 @@ def build_parser():
     pl.add_argument("--c", default="0")
     pl.add_argument("--m", type=int, required=True)
     pl.add_argument("--trunc", type=int, default=None)
-    pl.add_argument("--dz", type=int, default=5)
+    pl.add_argument("--dz", type=int, default=None)
     pl.add_argument("--out-dir", required=True)
     pl.set_defaults(func=cmd_pipeline)
     return p

@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 
 from . import backend
-from .backend import MASK, SHIFT1, SHIFT2
+from .backend import MASK, MAX_TRUNC, SHIFT1, SHIFT2
 from .errors import DomainError, PrecisionError, StructureError
 from .scalars import GaussRational
 
@@ -30,6 +30,14 @@ def pack(k, l, j):
 
 def unpack(key):
     return key >> SHIFT1, (key >> SHIFT2) & MASK, key & MASK
+
+
+def _checked_truncs(truncs):
+    """``truncs`` if no axis exceeds MAX_TRUNC, past which packed keys alias."""
+    if any(t > MAX_TRUNC for t in truncs):
+        raise StructureError(f"truncation {truncs} exceeds the bound {MAX_TRUNC}"
+                             " of packed exponents")
+    return truncs
 
 
 def _scalar_triple(q):
@@ -678,7 +686,7 @@ class TriSeries:
 
     def __init__(self, vars=("z", "xi", "eta"), truncs=(6, 6, 12), terms=None):
         self.vars = tuple(vars)
-        self.truncs = tuple(int(t) for t in truncs)
+        self.truncs = _checked_truncs(tuple(int(t) for t in truncs))
         if len(self.vars) != 3 or len(self.truncs) != 3:
             raise StructureError("TriSeries needs exactly three variables")
         cf, den = {}, 1
@@ -818,7 +826,8 @@ class TriSeries:
         """
         if any(a > b for a, b in zip(self.truncs, truncs)):
             raise StructureError(f"widen: {truncs} is smaller than {self.truncs}")
-        return TriSeries._raw(self.vars, truncs, dict(self.coeffs), self.den)
+        return TriSeries._raw(self.vars, _checked_truncs(truncs), dict(self.coeffs),
+                              self.den)
 
     def mul_monomial(self, k, l, j):
         """Ring multiplication by a monomial (truncations unchanged)."""
@@ -854,14 +863,15 @@ class TriSeries:
         """Antiderivative in the first variable, zero integration constants."""
         out = self
         for _ in range(times):
-            scale = math.lcm(*range(1, out.truncs[0] + 2))
+            tz, tx, te = out.truncs
+            truncs = _checked_truncs((tz + 1, tx, te))
+            scale = math.lcm(*range(1, tz + 2))
             cf = {}
             for key, (a, b) in out.coeffs.items():
                 k = key >> SHIFT1
                 s = scale // (k + 1)
                 cf[key + (1 << SHIFT1)] = (a * s, b * s)
-            tz, tx, te = out.truncs
-            out = TriSeries._raw(out.vars, (tz + 1, tx, te), cf, out.den * scale)
+            out = TriSeries._raw(out.vars, truncs, cf, out.den * scale)
         return out
 
     def swap_zx(self):

@@ -129,6 +129,53 @@ def test_cli_trunc_below_minimum_exits_2(tmp_path, capsys, monkeypatch):
     assert "SEGREODE_TRUNC must be at least 4" in capsys.readouterr().err
 
 
+def test_cli_dz_below_minimum_exits_2(tmp_path, capsys):
+    ode = tmp_path / "ode.json"
+    assert run_cli(["build", "--a", "1", "--b", "0,0,0,0,1", "--m", "4",
+                    "--trunc", "8", "-o", str(ode)]) == 0
+    residual = ["verify", "segre-residual", "--ode", str(ode)]
+    pipeline = ["pipeline", "--a", "1", "--b", "0", "--m", "4", "--trunc", "8",
+                "--out-dir", str(tmp_path / "pl")]
+    for argv in (residual + ["--dz", "0"], residual + ["--dz", "2"],
+                 ["verify", "reality", "--ode", str(ode), "--dz", "3"],
+                 pipeline + ["--dz", "1"]):
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--dz must be at least 4" in err
+    assert not (tmp_path / "pl").exists()
+    assert run_cli(residual + ["--dz", "4"]) == 0
+    assert "[PASS] family-solves-inverse-ode" in capsys.readouterr().out
+
+
+def test_cli_reality_honors_sign(tmp_path, capsys):
+    ode = tmp_path / "ode.json"
+    assert run_cli(["build", "--a", "1,1/2,2", "--b", "0,0,1,3", "--c", "0,i,1",
+                    "--m", "1", "--trunc", "10", "-o", str(ode)]) == 0
+    data = ode_from_json(json.loads(ode.read_text()))
+    capsys.readouterr()
+    got = {}
+    for sign in (1, -1):
+        run_cli(["verify", "reality", "--ode", str(ode), "--trunc", "10",
+                 "--sign", str(sign), "--json"])
+        got[sign] = json.loads(capsys.readouterr().out)
+        assert got[sign] == [check_real_structure(data, 1, (5, 5, 10), sign).to_json()]
+    assert got[1] != got[-1]
+
+
+def test_truncation_above_packed_key_bound_exits_2(tmp_path, capsys):
+    record = {"format": 1, "m": 1, "sign": "+", "truncs": [5, 5, 2**20 + 1],
+              "slices": []}
+    with pytest.raises(StructureError):
+        phi_from_json(record)
+    ode = tmp_path / "ode.json"
+    assert run_cli(["build", "--a", "1", "--b", "0,0,0,0,1", "--m", "4",
+                    "--trunc", "8", "-o", str(ode)]) == 0
+    assert run_cli(["verify", "segre-residual", "--ode", str(ode),
+                    "--trunc", str(2**20 + 1)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "exceeds the bound 1048576" in err
+
+
 def test_cli_pipeline_and_verify_report_alike(tmp_path, capsys):
     outdir = tmp_path / "pl"
     sizes = ["--dz", "4", "--trunc", "10"]

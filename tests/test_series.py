@@ -152,6 +152,19 @@ def test_variable_mismatch():
         USeries.monomial(1, 1, var="w") + USeries.monomial(1, 1, var="t")
 
 
+def test_truncation_above_packed_key_bound_raises():
+    # eta^(2**21) would pack to the key of xi
+    with pytest.raises(StructureError):
+        TriSeries.monomial(0, 0, 2**21, truncs=(3, 3, 2**21 + 4))
+    top = TriSeries.monomial(0, 0, 2**20 - 1, 5, truncs=(1, 2**20, 2**20))
+    assert list(top.terms()) == [((0, 0, 2**20 - 1), GaussRational(5))]
+    with pytest.raises(StructureError):
+        top.widen((1, 2**20 + 1, 2**20))
+    assert top.integrate_z().truncs == (2, 2**20, 2**20)
+    with pytest.raises(StructureError):
+        TriSeries.monomial(0, 0, 0, truncs=(2**20, 1, 1)).integrate_z()
+
+
 def test_divide_monomial():
     assert USeries.monomial(3, 2, trunc=9).divide_monomial(3) == \
         USeries.constant(2, trunc=6)
