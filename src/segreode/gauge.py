@@ -398,7 +398,7 @@ def reversion(g: USeries) -> USeries:
     h = USeries.monomial(1, 1 / c, g.var, n)
     while n < top:
         lo, n = n, min(2 * n, top)
-        h = USeries._raw(g.var, n, h.coeffs, h.den)
+        h = h.widen(n)
         err = g.truncate(n).eval_at(h) - USeries.monomial(1, 1, g.var, n)
         slope = dg.truncate(n - lo).eval_at(h.truncate(n - lo)).invert_unit()
         h = h - (err.divide_monomial(lo) * slope).shift_up(lo)

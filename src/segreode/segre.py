@@ -5,9 +5,8 @@ s = +-1 and phi = z*xi + sum_{k,l>=2} phi_kl(eta) z^k xi^l is solved
 from the inverse ODE of a validated sextuple by Picard iteration on the
 integrated Cauchy problem.  Each sweep extends the correct z-jet by one
 order, so the sweeps climb a precision ladder: the first runs on
-z-truncation 2, each later one a z-order wider, until truncs[0] - 2
-sweeps reach the full box; one more sweep there confirms the fixed
-point, for truncs[0] - 1 sweeps in all.
+z-truncation 2, each later one a z-order wider, and the truncs[0] - 2
+sweeps end on the full box with phi exact there.
 
 Variable naming follows the family convention: the second and third
 TriSeries variables are the antiholomorphic parameters.
@@ -18,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InternalInconsistencyError
+from .errors import DomainError, InternalInconsistencyError, PrecisionError
 from .odes import P0Ode, validate_p0
 from .scalars import GaussRational, I
 from .series import TriSeries, USeries
@@ -89,8 +88,11 @@ def solve_phi(ode: P0Ode, m: int, sign: int = 1,
 
     Solves the second-order Cauchy problem equivalent to substituting
     the family into the inverse ODE, with phi(0) = 0 and the z-slope
-    pinned to xi.  Negative-sign families are obtained from the
-    positive family of the conjugated ODE (single code path).
+    pinned to xi.  Each sweep of the precision ladder makes phi exact
+    one z-order wider, so the sweep that reaches the full box returns
+    the fixed point and no further sweep is run.  Negative-sign families
+    are obtained from the positive family of the conjugated ODE (single
+    code path).
     """
     bad = validate_p0(ode)
     if bad:
@@ -108,16 +110,12 @@ def solve_phi(ode: P0Ode, m: int, sign: int = 1,
 
     # Precision ladder: phi starts exact modulo z^2; the right-hand side
     # loses one z-order to the derivative and integrate_z(2) gains two, so
-    # each sweep returns the exact jet one z-order wider.  Equality also
-    # compares truncations, so only a sweep on the full box can stop.
+    # each sweep returns the exact jet one z-order wider.
     zxi = TriSeries.monomial(1, 1, 0, 1, PHI_VARS, truncs)
     phi = zxi.truncate((2, tx, te))
-    for _ in range(max(tz - 1, 1)):
+    while phi.truncs[0] < tz:
         rhs = _findphi_rhs(phi, m, A, B, C, D, E, F)
-        new = zxi + rhs.integrate_z(2).truncate(truncs)
-        if new == phi:
-            break
-        phi = new
+        phi = zxi + rhs.integrate_z(2).truncate(truncs)
 
     result = AdmissiblePhi(m, 1, phi)
     result.check_admissible()
@@ -248,18 +246,22 @@ def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
     (z*xi)^g, with g = 2 for m = 1 and g = 1 otherwise, so the iteration
     climbs a ladder of square (z, xi)-boxes of side 1 + g, 1 + 2g, ...,
     each solved exactly by one sweep, and then sweeps on the full box
-    until w is a fixed point.  The result carries the opposite sign and
-    loses m orders of eta-truncation (one to the leading factor, m-1 to
-    the exponent normalization).
+    until w is a fixed point.  There w = eta*exp(expo) for the exponent
+    expo of the last sweep, so log(w/eta) is expo on the box of w/eta.
+    The result carries the opposite sign and loses m orders of
+    eta-truncation (one to the leading factor, m-1 to the exponent
+    normalization).
     """
     m, s = phi.m, phi.sign
     truncs = phi.phi.truncs
     tz, tx, te = truncs
     swapped = phi.phi.swap_zx().relabel(PHI_VARS)  # phi(xi, z, .) as a series
 
+    def exponent(w):
+        return (swapped.subst_eta(w) * w.pow_int(m - 1)) * (-I * s)
+
     def sweep(w):
-        expo = (swapped.subst_eta(w) * w.pow_int(m - 1)) * (-I * s)
-        return expo.exp().mul_monomial(0, 0, 1)
+        return exponent(w).exp().mul_monomial(0, 0, 1)
 
     # eta is exact on the box of side 1 (w - eta is a multiple of z*xi).
     w = TriSeries.monomial(0, 0, 1, 1, PHI_VARS, truncs).truncate((1, 1, te))
@@ -268,15 +270,15 @@ def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
         w = sweep(w.widen((side, side, te)))
     w = w.widen(truncs)
     for _ in range((tz + tx) // 2 + 2):
-        new = sweep(w)
+        expo = exponent(w)
+        new = expo.exp().mul_monomial(0, 0, 1)
         if new == w:
             break
         w = new
     else:
         raise InternalInconsistencyError("dual fixed point did not stabilize")
 
-    unit = w.divide_eta(1)
-    logu = unit.log()
+    logu = expo.truncate((tz, tx, te - 1))
     star = logu.divide_eta(m - 1) * (1 / (-I * s))
     out = AdmissiblePhi(m, -s, star)
     out.check_admissible()
@@ -405,10 +407,16 @@ def family_residual(ode: P0Ode, phi: AdmissiblePhi) -> TriSeries:
     and multiplies through by W^(2m); the returned series is zero
     exactly when the family solves the inverse ODE modulo truncation
     (certified up to 2m lost eta-orders from the clearing factor).
+    W^(2m) vanishes once 2m reaches the eta-truncation, and so would
+    the residual: such an m raises PrecisionError.
     """
     m = phi.m
-    ode = ode.rescale_order(m)
     truncs = phi.phi.truncs
+    if 2 * m >= truncs[2]:
+        raise PrecisionError(
+            f"family residual: 2m = {2 * m} leaves nothing of eta-truncation"
+            f" {truncs[2]} to check")
+    ode = ode.rescale_order(m)
     W = phi.family()
     powers = _power_table(W, ode.A, ode.B, ode.C, ode.D, ode.E, ode.F)
     Wp = W.derivative(0).truncate(truncs)

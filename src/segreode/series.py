@@ -7,10 +7,24 @@ and the rational reduction (content gcd) happens once per operation.
 Coefficient access converts to :class:`~segreode.scalars.GaussRational`
 on demand.
 
-Truncation is an explicit attribute: a ``USeries`` with ``trunc = N``
-is an exact representative of a function modulo ``w**N``; binary
-operations take the componentwise minimum of the operand truncations,
-derivatives lower it by one.
+One core, two arities.  ``_Series`` holds the variable names ``vars``,
+one truncation per variable ``truncs``, the coefficient dict ``coeffs``
+and the denominator ``den``: an exact representative modulo every
+monomial outside the box ``truncs``.  A key is the degree for one
+variable and the packed exponent triple (``pack``) for three; the
+number of variables picks the kernel (``backend.mul1``/``mul3``) and
+the box test.  The core implements construction, ``==``, ``+``, ``-``,
+``*``, ``truncate``, ``widen``, ``conjugate``, the graded ``exp``,
+``pow_int`` and ``ring_one`` once.  Binary operations work on the
+componentwise minimum of the operand boxes; derivatives lower the
+truncation of their axis by one.
+
+``USeries`` (one variable: ``var``, ``trunc``) adds coefficients by
+degree, derivative and shifts, ``invert_unit``, ``log``, binomial
+powers and composition (``eval_at``); ``ULaurent`` wraps it with a
+pole.  ``TriSeries`` (three variables) adds coefficients by exponent
+triple, partial derivatives, ``subst_eta``, ``swap_zx``, ``slice_eta``
+and ``integrate_z``.
 """
 
 from __future__ import annotations
@@ -22,6 +36,8 @@ from . import backend
 from .backend import MASK, MAX_TRUNC, SHIFT1, SHIFT2
 from .errors import DomainError, PrecisionError, StructureError
 from .scalars import GaussRational
+
+_SCALARS = (int, Fraction, GaussRational)
 
 
 def pack(k, l, j):
@@ -38,6 +54,29 @@ def _checked_truncs(truncs):
         raise StructureError(f"truncation {truncs} exceeds the bound {MAX_TRUNC}"
                              " of packed exponents")
     return truncs
+
+
+def _cut(coeffs, truncs):
+    """The terms of ``coeffs`` whose key lies inside the box ``truncs``."""
+    if len(truncs) == 1:
+        t = truncs[0]
+        return {k: v for k, v in coeffs.items() if k < t}
+    tz, tx, te = truncs
+    return {k: v for k, v in coeffs.items()
+            if (k >> SHIFT1) < tz and ((k >> SHIFT2) & MASK) < tx and (k & MASK) < te}
+
+
+def _product(ca, cb, truncs):
+    """Cauchy product of two coefficient dicts, kept inside the box."""
+    if len(truncs) == 1:
+        return backend.mul1(ca, cb, truncs[0])
+    return backend.mul3(ca, cb, *truncs)
+
+
+def _gauss(pair, den):
+    if pair is None:
+        return GaussRational(0)
+    return GaussRational(Fraction(pair[0], den), Fraction(pair[1], den))
 
 
 def _scalar_triple(q):
@@ -102,48 +141,190 @@ def _scale_coeffs(coeffs, a, b):
     return {k: (x * a - y * b, x * b + y * a) for k, (x, y) in coeffs.items()}
 
 
-def _binom_coeffs(e: Fraction, n: int):
-    """binom(e, k) for k = 0..n-1, exact."""
-    out = [Fraction(1)]
-    for k in range(1, n):
-        out.append(out[-1] * (e - (k - 1)) / k)
-    return out
+class _Series:
+    """The ring both arities share: stored keys lie inside the box and
+    (coeffs, den) is primitive, so equal series have equal attributes.
+    Each subclass binds ``_add``, ``_mul``, ``_exp`` and ``_pow_int`` in
+    its own namespace, where ``perfbench/tracer.py`` wraps them."""
 
+    __slots__ = ("vars", "truncs", "coeffs", "den")
 
-class USeries:
-    """Truncated power series in one variable over Q(i)."""
-
-    __slots__ = ("var", "trunc", "coeffs", "den")
-
-    def __init__(self, var="w", trunc=16, terms=None):
-        self.var = var
-        self.trunc = int(trunc)
-        cf = {}
-        if terms:
-            den = 1
-            for d, q in terms.items():
-                if d < 0:
-                    raise StructureError("negative degree in USeries (use ULaurent)")
-                a, b, dq = _scalar_triple(q)
-                if (a or b) and d < self.trunc:
-                    den_new = den * dq // math.gcd(den, dq)
-                    if den_new != den:
-                        s = den_new // den
-                        cf = {k: (x * s, y * s) for k, (x, y) in cf.items()}
-                        den = den_new
-                    s = den // dq
-                    cf[d] = (a * s, b * s)
-            cf, den = _content_normalize(cf, den)
-            self.coeffs, self.den = cf, den
-        else:
-            self.coeffs, self.den = {}, 1
+    def _set_terms(self, vars, truncs, items):
+        """Store (key, scalar) pairs, all inside the box, over one denominator."""
+        cf, den = {}, 1
+        for key, q in items:
+            a, b, dq = _scalar_triple(q)
+            if a == 0 and b == 0:
+                continue
+            den_new = den * dq // math.gcd(den, dq)
+            if den_new != den:
+                s = den_new // den
+                cf = {k: (x * s, y * s) for k, (x, y) in cf.items()}
+                den = den_new
+            s = den // dq
+            cf[key] = (a * s, b * s)
+        self.vars, self.truncs = vars, truncs
+        self.coeffs, self.den = _content_normalize(cf, den)
 
     @classmethod
-    def _raw(cls, var, trunc, coeffs, den):
+    def _raw(cls, vars, truncs, coeffs, den):
         s = cls.__new__(cls)
-        s.var, s.trunc = var, trunc
+        s.vars, s.truncs = vars, truncs
         s.coeffs, s.den = _content_normalize(coeffs, den)
         return s
+
+    def _const(self, q):
+        """The scalar q in the ring of self."""
+        a, b, d = _scalar_triple(q)
+        inside = (a or b) and min(self.truncs) > 0
+        return self._raw(self.vars, self.truncs, {0: (a, b)} if inside else {}, d)
+
+    def ring_one(self):
+        return self._const(1)
+
+    def constant_term(self):
+        return _gauss(self.coeffs.get(0), self.den)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.vars == other.vars and self.truncs == other.truncs
+                and self.den == other.den and self.coeffs == other.coeffs)
+
+    __hash__ = None
+
+    # -- ring operations -------------------------------------------------
+
+    def _check(self, other):
+        """The common box of self and other, whose variables must agree."""
+        if self.vars != other.vars:
+            raise StructureError(f"variable mismatch: {', '.join(self.vars)}"
+                                 f" vs {', '.join(other.vars)}")
+        if self.truncs == other.truncs:
+            return self.truncs
+        return tuple(map(min, self.truncs, other.truncs))
+
+    def _add(self, other):
+        if isinstance(other, _SCALARS):
+            other = self._const(other)
+        elif type(other) is not type(self):
+            return NotImplemented
+        truncs = self._check(other)
+        g = math.gcd(self.den, other.den)
+        den = self.den // g * other.den
+        cf = _merge_scaled(self.coeffs, den // self.den, other.coeffs, den // other.den)
+        if truncs != self.truncs or truncs != other.truncs:
+            cf = _cut(cf, truncs)
+        return self._raw(self.vars, truncs, cf, den)
+
+    def __sub__(self, other):
+        return self + (-other if isinstance(other, _Series) else GaussRational(0) - other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __neg__(self):
+        return self._raw(self.vars, self.truncs,
+                         {k: (-a, -b) for k, (a, b) in self.coeffs.items()}, self.den)
+
+    def _mul(self, other):
+        if isinstance(other, _SCALARS):
+            a, b, d = _scalar_triple(other)
+            if a == 0 and b == 0:
+                return self._raw(self.vars, self.truncs, {}, 1)
+            return self._raw(self.vars, self.truncs,
+                             _scale_coeffs(self.coeffs, a, b), self.den * d)
+        if type(other) is not type(self):
+            return NotImplemented
+        truncs = self._check(other)
+        cf = _product(self.coeffs, other.coeffs, truncs)
+        return self._raw(self.vars, truncs, cf, self.den * other.den)
+
+    def _box(self, truncs):
+        """``truncs`` as a tuple; one variable takes a bare int."""
+        return (truncs,) if len(self.truncs) == 1 else tuple(truncs)
+
+    def truncate(self, truncs):
+        """The terms inside the meet of the box and ``truncs``."""
+        truncs = tuple(map(min, self.truncs, self._box(truncs)))
+        if truncs == self.truncs:
+            return self
+        return self._raw(self.vars, truncs, _cut(self.coeffs, truncs), self.den)
+
+    def widen(self, truncs):
+        """The same terms on a box at least as large as the current one.
+
+        Truncation only shrinks; widening claims the new coefficients
+        are zero, so the caller must know they are (or will overwrite
+        them, as a precision ladder does).
+        """
+        truncs = _checked_truncs(self._box(truncs))
+        if any(a > b for a, b in zip(self.truncs, truncs)):
+            raise StructureError(f"widen: {truncs} is smaller than {self.truncs}")
+        return self._raw(self.vars, truncs, self.coeffs, self.den)
+
+    def conjugate(self):
+        return self._raw(self.vars, self.truncs,
+                         {k: (a, -b) for k, (a, b) in self.coeffs.items()}, self.den)
+
+    # -- analytic-style operations ---------------------------------------
+
+    def _exp(self):
+        """exp(self); the constant term must be 0.
+
+        Graded by degree in one variable.  In three, graded by degree in
+        the first variable when no term is free of it (the case of every
+        caller in the package), otherwise by total degree.
+        """
+        if not self.constant_term().is_zero():
+            raise DomainError("exp: nonzero constant term")
+        truncs = self.truncs
+        if len(truncs) == 1:
+            grade, ngrades = (lambda d: d), truncs[0]
+        elif all(key >> SHIFT1 for key in self.coeffs):
+            grade, ngrades = (lambda key: key >> SHIFT1), truncs[0]
+        else:
+            grade, ngrades = (lambda key: sum(unpack(key))), sum(truncs) - 2
+        cf, den = _exp_graded(self.coeffs, self.den, grade, ngrades,
+                              lambda a, b: _product(a, b, truncs))
+        return self._raw(self.vars, truncs, cf, den)
+
+    def _pow_int(self, n):
+        if n < 0:
+            return self.invert_unit().pow_int(-n)
+        result = self.ring_one()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            if n >> 1:
+                base = base * base
+            n >>= 1
+        return result
+
+
+class USeries(_Series):
+    """Truncated power series in one variable over Q(i)."""
+
+    __slots__ = ()
+
+    def __init__(self, var="w", trunc=16, terms=None):
+        trunc = int(trunc)
+        if terms and min(terms) < 0:
+            raise StructureError("negative degree in USeries (use ULaurent)")
+        self._set_terms((var,), (trunc,),
+                        ((d, q) for d, q in terms.items() if d < trunc) if terms else ())
+
+    var = property(lambda self: self.vars[0])
+    trunc = property(lambda self: self.truncs[0])
+
+    __add__ = __radd__ = _Series._add
+    __mul__ = __rmul__ = _Series._mul
+    exp = _Series._exp
+    pow_int = _Series._pow_int
 
     @classmethod
     def zero(cls, var="w", trunc=16):
@@ -164,32 +345,15 @@ class USeries:
     # -- inspection ----------------------------------------------------
 
     def coeff(self, d) -> GaussRational:
-        pair = self.coeffs.get(d)
-        if pair is None:
-            return GaussRational(0)
-        return GaussRational(Fraction(pair[0], self.den), Fraction(pair[1], self.den))
+        return _gauss(self.coeffs.get(d), self.den)
 
     def terms(self):
         for d in sorted(self.coeffs):
-            yield d, self.coeff(d)
-
-    def is_zero(self):
-        return not self.coeffs
+            yield d, _gauss(self.coeffs[d], self.den)
 
     def order(self):
         """Smallest stored degree, or None for the (truncated) zero series."""
         return min(self.coeffs) if self.coeffs else None
-
-    def constant_term(self):
-        return self.coeff(0)
-
-    def __eq__(self, other):
-        if not isinstance(other, USeries):
-            return NotImplemented
-        return (self.var == other.var and self.trunc == other.trunc
-                and self.den == other.den and self.coeffs == other.coeffs)
-
-    __hash__ = None
 
     def equal_mod(self, other, n=None):
         """Coefficientwise equality up to degree n (default: common trunc)."""
@@ -198,72 +362,20 @@ class USeries:
             lim = min(lim, n)
         return (self - other).truncate(lim).is_zero()
 
-    # -- ring operations -------------------------------------------------
-
-    def _check(self, other):
-        if self.var != other.var:
-            raise StructureError(f"variable mismatch: {self.var} vs {other.var}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = USeries.constant(GaussRational(0) + other, self.var, self.trunc)
-        if not isinstance(other, USeries):
-            return NotImplemented
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        g = math.gcd(self.den, other.den)
-        den = self.den // g * other.den
-        cf = _merge_scaled(self.coeffs, den // self.den, other.coeffs, den // other.den)
-        cf = {k: v for k, v in cf.items() if k < trunc}
-        return USeries._raw(self.var, trunc, cf, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, USeries) else GaussRational(0) - other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __neg__(self):
-        return USeries._raw(self.var, self.trunc,
-                            {k: (-a, -b) for k, (a, b) in self.coeffs.items()}, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            a, b, d = _scalar_triple(other)
-            if a == 0 and b == 0:
-                return USeries.zero(self.var, self.trunc)
-            return USeries._raw(self.var, self.trunc,
-                                _scale_coeffs(self.coeffs, a, b), self.den * d)
-        if not isinstance(other, USeries):
-            return NotImplemented
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        cf = backend.mul1(self.coeffs, other.coeffs, trunc)
-        return USeries._raw(self.var, trunc, cf, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def truncate(self, n):
-        n = min(n, self.trunc)
-        return USeries._raw(self.var, n,
-                            {k: v for k, v in self.coeffs.items() if k < n}, self.den)
-
     def derivative(self):
         cf = {k - 1: (k * a, k * b) for k, (a, b) in self.coeffs.items() if k > 0}
-        return USeries._raw(self.var, self.trunc - 1, cf, self.den)
+        return USeries._raw(self.vars, (self.trunc - 1,), cf, self.den)
 
     def shift_up(self, n):
         """Multiply by var**n exactly (truncation grows with the shift)."""
-        return USeries._raw(self.var, self.trunc + n,
+        return USeries._raw(self.vars, (self.trunc + n,),
                             {k + n: v for k, v in self.coeffs.items()}, self.den)
 
     def divide_monomial(self, n):
         """Exact division by var**n; DomainError if a lower term survives."""
         if any(k < n for k in self.coeffs):
             raise DomainError(f"series not divisible by {self.var}^{n}")
-        return USeries._raw(self.var, self.trunc - n,
+        return USeries._raw(self.vars, (self.trunc - n,),
                             {k - n: v for k, v in self.coeffs.items()}, self.den)
 
     def _integral(self):
@@ -271,21 +383,17 @@ class USeries:
         scale = math.lcm(*range(1, self.trunc + 1))
         cf = {k + 1: (a * (scale // (k + 1)), b * (scale // (k + 1)))
               for k, (a, b) in self.coeffs.items()}
-        return USeries._raw(self.var, self.trunc + 1, cf, self.den * scale)
-
-    def conjugate(self):
-        return USeries._raw(self.var, self.trunc,
-                            {k: (a, -b) for k, (a, b) in self.coeffs.items()}, self.den)
+        return USeries._raw(self.vars, (self.trunc + 1,), cf, self.den * scale)
 
     def is_real(self):
         return all(b == 0 for _, b in self.coeffs.values())
 
     def imag_part(self):
-        return USeries._raw(self.var, self.trunc,
+        return USeries._raw(self.vars, self.truncs,
                             {k: (b, 0) for k, (a, b) in self.coeffs.items() if b}, self.den)
 
     def real_part(self):
-        return USeries._raw(self.var, self.trunc,
+        return USeries._raw(self.vars, self.truncs,
                             {k: (a, 0) for k, (a, b) in self.coeffs.items() if a}, self.den)
 
     # -- analytic-style operations ---------------------------------------
@@ -305,18 +413,9 @@ class USeries:
         n = 1
         while n < self.trunc:
             n = min(2 * n, self.trunc)
-            inv = USeries._raw(self.var, n, inv.coeffs, inv.den)
+            inv = inv.widen(n)
             inv = inv * (2 - self.truncate(n) * inv)
         return inv
-
-    def exp(self):
-        """exp(self), graded by degree; the constant term must be 0."""
-        if not self.constant_term().is_zero():
-            raise DomainError("exp: nonzero constant term")
-        trunc = self.trunc
-        cf, den = _exp_graded(self.coeffs, self.den, lambda d: d, trunc,
-                              lambda a, b: backend.mul1(a, b, trunc))
-        return USeries._raw(self.var, trunc, cf, den)
 
     def log(self):
         """log(self) as the integral of s'/s: one inversion, one product."""
@@ -330,20 +429,6 @@ class USeries:
         if self.constant_term() != GaussRational(1):
             raise DomainError("pow_binomial: constant term must be 1")
         return (self.log() * Fraction(e)).exp()
-
-    def pow_int(self, n):
-        if n < 0:
-            return self.invert_unit().pow_int(-n)
-        result = USeries.constant(1, self.var, self.trunc)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n >>= 1
-        return result
 
     def eval_at(self, t):
         """Composition self(t); t needs zero constant term.
@@ -378,9 +463,6 @@ class USeries:
             raise PrecisionError(
                 "eval_at: composition not determined at this truncation")
         return acc
-
-    def ring_one(self):
-        return USeries.constant(1, self.var, self.trunc)
 
     def __repr__(self):
         if not self.coeffs:
@@ -459,7 +541,7 @@ def _combine_shifted(base, shift, terms, trunc):
                 re, im = re + cur[0], im + cur[1]
             out[k] = (re, im)
     out = {k: v for k, v in out.items() if v[0] or v[1]}
-    return USeries._raw(base.var, trunc, out, den)
+    return USeries._raw(base.vars, (trunc,), out, den)
 
 
 def _div_quadratic(s, k, c1, c2):
@@ -498,49 +580,16 @@ def _div_quadratic(s, k, c1, c2):
             nu[d] = (re, im)
     out = {d: (re * Lpow[top - d // k], im * Lpow[top - d // k])
            for d, (re, im) in nu.items()}
-    return USeries._raw(s.var, s.trunc, out, s.den * Lpow[max(top, 0)])
-
-
-# Horner forms, used by TriSeries.log and TriSeries.pow_binomial.
-
-def _log_impl(s, zero_ring):
-    # Horner form: log(1+t) = t(1 + t(-1/2 + t(1/3 + ...)))
-    t = s - s.ring_one()
-    nmax = _nilpotency_bound(t)
-    acc = zero_ring
-    for n in range(nmax, 0, -1):
-        acc = acc * t + t.ring_one() * Fraction((-1) ** (n + 1), n)
-    return acc * t
-
-
-def _pow_binomial_impl(s, e, zero_ring):
-    t = s - s.ring_one()
-    nmax = _nilpotency_bound(t)
-    binoms = _binom_coeffs(e, nmax + 1)
-    acc = zero_ring
-    for n in range(nmax, -1, -1):
-        acc = acc * t + t.ring_one() * binoms[n]
-    return acc
-
-
-def _nilpotency_bound(t):
-    """Smallest n with t**n == 0 guaranteed by the valuation of t."""
-    o = t.min_total_order()
-    if o is None:
-        return 1
-    if o == 0:
-        raise DomainError("argument must have positive valuation")
-    return t.total_degree_cap() // o + 1
+    return USeries._raw(s.vars, s.truncs, out, s.den * Lpow[max(top, 0)])
 
 
 def _term_str(d, q, var):
     if d == 0:
         return str(q) if not (q.re and q.im) else f"({q})"
     mono = var if d == 1 else f"{var}^{d}"
-    from .scalars import GaussRational as _G
-    if q == _G(1):
+    if q == GaussRational(1):
         return mono
-    if q == _G(-1):
+    if q == GaussRational(-1):
         return f"-{mono}"
     return f"{q.as_factor_str()}*{mono}"
 
@@ -613,9 +662,8 @@ class ULaurent:
         return p, self.body.shift_up(p - self.pole), other.body.shift_up(p - other.pole)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = ULaurent(USeries.constant(GaussRational(0) + other,
-                                              self.var, self.body.trunc), 0)
+        if isinstance(other, _SCALARS):
+            other = ULaurent(self.body._const(other))
         if not isinstance(other, ULaurent):
             return NotImplemented
         p, b1, b2 = self._align(other)
@@ -632,7 +680,7 @@ class ULaurent:
         return ULaurent(-self.body, self.pole)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
+        if isinstance(other, _SCALARS):
             return ULaurent(self.body * other, self.pole)
         if isinstance(other, USeries):
             other = ULaurent.from_series(other)
@@ -674,7 +722,7 @@ class ULaurent:
         return " + ".join(parts) + f" + O({self.var}^{self.trunc_abs()})"
 
 
-class TriSeries:
+class TriSeries(_Series):
     """Truncated series in three variables over Q(i).
 
     The first variable is the distinguished "ODE variable" (derivative
@@ -682,37 +730,24 @@ class TriSeries:
     Exponent triples are packed into single integers (see pack/unpack).
     """
 
-    __slots__ = ("vars", "truncs", "coeffs", "den")
+    __slots__ = ()
 
     def __init__(self, vars=("z", "xi", "eta"), truncs=(6, 6, 12), terms=None):
-        self.vars = tuple(vars)
-        self.truncs = _checked_truncs(tuple(int(t) for t in truncs))
-        if len(self.vars) != 3 or len(self.truncs) != 3:
+        vars = tuple(vars)
+        truncs = _checked_truncs(tuple(int(t) for t in truncs))
+        if len(vars) != 3 or len(truncs) != 3:
             raise StructureError("TriSeries needs exactly three variables")
-        cf, den = {}, 1
-        if terms:
-            tz, tx, te = self.truncs
-            for (k, l, j), q in terms.items():
-                if k >= tz or l >= tx or j >= te:
-                    continue
-                a, b, dq = _scalar_triple(q)
-                if a == 0 and b == 0:
-                    continue
-                den_new = den * dq // math.gcd(den, dq)
-                if den_new != den:
-                    s = den_new // den
-                    cf = {kk: (x * s, y * s) for kk, (x, y) in cf.items()}
-                    den = den_new
-                s = den // dq
-                cf[pack(k, l, j)] = (a * s, b * s)
-        self.coeffs, self.den = _content_normalize(cf, den)
+        if terms and min(map(min, terms)) < 0:
+            raise StructureError("negative exponent in TriSeries")
+        tz, tx, te = truncs
+        self._set_terms(vars, truncs,
+                        ((pack(k, l, j), q) for (k, l, j), q in (terms or {}).items()
+                         if k < tz and l < tx and j < te))
 
-    @classmethod
-    def _raw(cls, vars, truncs, coeffs, den):
-        s = cls.__new__(cls)
-        s.vars, s.truncs = tuple(vars), tuple(truncs)
-        s.coeffs, s.den = _content_normalize(coeffs, den)
-        return s
+    __add__ = __radd__ = _Series._add
+    __mul__ = __rmul__ = _Series._mul
+    exp = _Series._exp
+    pow_int = _Series._pow_int
 
     @classmethod
     def zero(cls, vars=("z", "xi", "eta"), truncs=(6, 6, 12)):
@@ -729,21 +764,15 @@ class TriSeries:
     # -- inspection ----------------------------------------------------
 
     def coeff(self, k, l, j) -> GaussRational:
-        pair = self.coeffs.get(pack(k, l, j))
-        if pair is None:
-            return GaussRational(0)
-        return GaussRational(Fraction(pair[0], self.den), Fraction(pair[1], self.den))
+        """The coefficient of z^k xi^l eta^j; 0 outside the box."""
+        tz, tx, te = self.truncs
+        if 0 <= k < tz and 0 <= l < tx and 0 <= j < te:
+            return _gauss(self.coeffs.get(pack(k, l, j)), self.den)
+        return GaussRational(0)
 
     def terms(self):
         for key in sorted(self.coeffs):
-            k, l, j = unpack(key)
-            yield (k, l, j), self.coeff(k, l, j)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def constant_term(self):
-        return self.coeff(0, 0, 0)
+            yield unpack(key), _gauss(self.coeffs[key], self.den)
 
     def min_total_order(self):
         if not self.coeffs:
@@ -753,92 +782,18 @@ class TriSeries:
     def total_degree_cap(self):
         return sum(t - 1 for t in self.truncs)
 
-    def __eq__(self, other):
-        if not isinstance(other, TriSeries):
-            return NotImplemented
-        return (self.vars == other.vars and self.truncs == other.truncs
-                and self.den == other.den and self.coeffs == other.coeffs)
-
-    __hash__ = None
-
-    # -- ring operations -------------------------------------------------
-
-    def _check(self, other):
-        if self.vars != other.vars:
-            raise StructureError(f"variable mismatch: {self.vars} vs {other.vars}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            other = TriSeries.constant(GaussRational(0) + other, self.vars, self.truncs)
-        if not isinstance(other, TriSeries):
-            return NotImplemented
-        self._check(other)
-        truncs = tuple(min(a, b) for a, b in zip(self.truncs, other.truncs))
-        g = math.gcd(self.den, other.den)
-        den = self.den // g * other.den
-        cf = _merge_scaled(self.coeffs, den // self.den, other.coeffs, den // other.den)
-        tz, tx, te = truncs
-        cf = {k: v for k, v in cf.items()
-              if (k >> SHIFT1) < tz and ((k >> SHIFT2) & MASK) < tx and (k & MASK) < te}
-        return TriSeries._raw(self.vars, truncs, cf, den)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, TriSeries):
-            return self + (-other)
-        return self + (GaussRational(0) - other)
-
-    def __neg__(self):
-        return TriSeries._raw(self.vars, self.truncs,
-                              {k: (-a, -b) for k, (a, b) in self.coeffs.items()},
-                              self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            a, b, d = _scalar_triple(other)
-            if a == 0 and b == 0:
-                return TriSeries.zero(self.vars, self.truncs)
-            return TriSeries._raw(self.vars, self.truncs,
-                                  _scale_coeffs(self.coeffs, a, b), self.den * d)
-        if not isinstance(other, TriSeries):
-            return NotImplemented
-        self._check(other)
-        truncs = tuple(min(a, b) for a, b in zip(self.truncs, other.truncs))
-        cf = backend.mul3(self.coeffs, other.coeffs, *truncs)
-        return TriSeries._raw(self.vars, truncs, cf, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def truncate(self, truncs):
-        truncs = tuple(min(a, b) for a, b in zip(self.truncs, truncs))
-        tz, tx, te = truncs
-        cf = {k: v for k, v in self.coeffs.items()
-              if (k >> SHIFT1) < tz and ((k >> SHIFT2) & MASK) < tx and (k & MASK) < te}
-        return TriSeries._raw(self.vars, truncs, cf, self.den)
-
-    def widen(self, truncs):
-        """The same terms on a box at least as large as the current one.
-
-        Truncation only shrinks; widening claims the new coefficients
-        are zero, so the caller must know they are (or will overwrite
-        them, as a precision ladder does).
-        """
-        if any(a > b for a, b in zip(self.truncs, truncs)):
-            raise StructureError(f"widen: {truncs} is smaller than {self.truncs}")
-        return TriSeries._raw(self.vars, _checked_truncs(truncs), dict(self.coeffs),
-                              self.den)
-
     def mul_monomial(self, k, l, j):
-        """Ring multiplication by a monomial (truncations unchanged)."""
+        """Ring multiplication by a monomial (truncations unchanged).
+
+        A monomial outside the box is zero; inside it, the packed sum
+        of a key and the shift carries into no axis.
+        """
         tz, tx, te = self.truncs
+        if k >= tz or l >= tx or j >= te:
+            return self._raw(self.vars, self.truncs, {}, 1)
         shift = pack(k, l, j)
-        cf = {}
-        for key, v in self.coeffs.items():
-            nk = key + shift
-            if (nk >> SHIFT1) < tz and ((nk >> SHIFT2) & MASK) < tx and (nk & MASK) < te:
-                cf[nk] = v
-        return TriSeries._raw(self.vars, self.truncs, cf, self.den)
+        cf = _cut({key + shift: v for key, v in self.coeffs.items()}, self.truncs)
+        return self._raw(self.vars, self.truncs, cf, self.den)
 
     def divide_eta(self, n):
         """Exact division by the third variable to the n-th power."""
@@ -846,7 +801,7 @@ class TriSeries:
             raise DomainError(f"series not divisible by {self.vars[2]}^{n}")
         cf = {key - n: v for key, v in self.coeffs.items()}
         tz, tx, te = self.truncs
-        return TriSeries._raw(self.vars, (tz, tx, te - n), cf, self.den)
+        return self._raw(self.vars, (tz, tx, te - n), cf, self.den)
 
     def derivative(self, axis=0):
         shift = (SHIFT1, SHIFT2, 0)[axis]
@@ -857,7 +812,7 @@ class TriSeries:
                 cf[key - (1 << shift)] = (e * a, e * b)
         truncs = list(self.truncs)
         truncs[axis] -= 1
-        return TriSeries._raw(self.vars, tuple(truncs), cf, self.den)
+        return self._raw(self.vars, tuple(truncs), cf, self.den)
 
     def integrate_z(self, times=1):
         """Antiderivative in the first variable, zero integration constants."""
@@ -868,10 +823,9 @@ class TriSeries:
             scale = math.lcm(*range(1, tz + 2))
             cf = {}
             for key, (a, b) in out.coeffs.items():
-                k = key >> SHIFT1
-                s = scale // (k + 1)
+                s = scale // ((key >> SHIFT1) + 1)
                 cf[key + (1 << SHIFT1)] = (a * s, b * s)
-            out = TriSeries._raw(out.vars, truncs, cf, out.den * scale)
+            out = self._raw(out.vars, truncs, cf, out.den * scale)
         return out
 
     def swap_zx(self):
@@ -881,16 +835,11 @@ class TriSeries:
             k, l, j = unpack(key)
             cf[pack(l, k, j)] = v
         tz, tx, te = self.truncs
-        return TriSeries._raw((self.vars[1], self.vars[0], self.vars[2]),
-                              (tx, tz, te), cf, self.den)
+        return self._raw((self.vars[1], self.vars[0], self.vars[2]),
+                         (tx, tz, te), cf, self.den)
 
     def relabel(self, vars):
-        return TriSeries._raw(vars, self.truncs, dict(self.coeffs), self.den)
-
-    def conjugate(self):
-        return TriSeries._raw(self.vars, self.truncs,
-                              {k: (a, -b) for k, (a, b) in self.coeffs.items()},
-                              self.den)
+        return self._raw(tuple(vars), self.truncs, self.coeffs, self.den)
 
     # -- composition ------------------------------------------------------
 
@@ -900,7 +849,8 @@ class TriSeries:
         Treats self as a polynomial in eta with (z, xi)-coefficients and
         accumulates with forward powers of t; t must vanish at the origin.
         """
-        self._checkcompat(t)
+        if len(t.vars) != 3:
+            raise StructureError("subst_eta target must be trivariate")
         if not t.constant_term().is_zero():
             raise DomainError("subst_eta: substitute must vanish at the origin")
         te = self.truncs[2]
@@ -926,10 +876,6 @@ class TriSeries:
                     "subst_eta: composition not determined at this truncation")
         return acc
 
-    def _checkcompat(self, other):
-        if len(other.vars) != 3:
-            raise StructureError("subst_eta target must be trivariate")
-
     # -- slices -------------------------------------------------------------
 
     def slice_eta(self, k, l, var="w"):
@@ -939,63 +885,16 @@ class TriSeries:
             kk, ll, j = unpack(key)
             if kk == k and ll == l:
                 cf[j] = v
-        return USeries._raw(var, self.truncs[2], cf, self.den)
-
-    def exp(self):
-        """exp(self); the constant term must be 0.
-
-        Graded by degree in the first variable when no term is free of
-        it (the case of every caller in the package), otherwise by total
-        degree.
-        """
-        if not self.constant_term().is_zero():
-            raise DomainError("exp: nonzero constant term")
-        tz, tx, te = self.truncs
-        if all(key >> SHIFT1 for key in self.coeffs):
-            grade, ngrades = (lambda key: key >> SHIFT1), tz
-        else:
-            grade, ngrades = (lambda key: sum(unpack(key))), self.total_degree_cap() + 1
-        cf, den = _exp_graded(self.coeffs, self.den, grade, ngrades,
-                              lambda a, b: backend.mul3(a, b, tz, tx, te))
-        return TriSeries._raw(self.vars, self.truncs, cf, den)
-
-    def log(self):
-        if self.constant_term() != GaussRational(1):
-            raise DomainError("log: constant term must be 1")
-        return _log_impl(self, TriSeries.zero(self.vars, self.truncs))
-
-    def pow_binomial(self, e):
-        if self.constant_term() != GaussRational(1):
-            raise DomainError("pow_binomial: constant term must be 1")
-        return _pow_binomial_impl(self, Fraction(e), TriSeries.zero(self.vars, self.truncs))
-
-    def pow_int(self, n):
-        if n < 0:
-            return self.invert_unit().pow_int(-n)
-        result = TriSeries.constant(1, self.vars, self.truncs)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            if n >> 1:
-                base = base * base
-            n >>= 1
-        return result
+        return USeries._raw((var,), (self.truncs[2],), cf, self.den)
 
     def invert_unit(self):
         c0 = self.constant_term()
         if c0.is_zero():
             raise DomainError("invert_unit: constant term is zero")
-        inv = TriSeries.constant(1 / c0, self.vars, self.truncs)
-        order = 1
-        cap = self.total_degree_cap() + 1
-        while order < cap:
+        inv = self._const(1 / c0)
+        for _ in range(self.total_degree_cap().bit_length()):   # 2^k > the cap
             inv = inv * (2 - self * inv)
-            order *= 2
         return inv
-
-    def ring_one(self):
-        return TriSeries.constant(1, self.vars, self.truncs)
 
     def __repr__(self):
         items = list(self.terms())

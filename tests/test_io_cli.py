@@ -162,6 +162,23 @@ def test_cli_reality_honors_sign(tmp_path, capsys):
     assert got[1] != got[-1]
 
 
+def test_cli_residual_refuses_m_past_the_eta_truncation(tmp_path, capsys):
+    # the residual is cleared by W^(2m), which vanishes once 2m >= te = 12
+    ode = tmp_path / "ode.json"
+    assert run_cli(["build", "--a", "1", "--b", "0,0,0,0,1", "--m", "4",
+                    "--trunc", "12", "-o", str(ode)]) == 0
+    residual = ["verify", "segre-residual", "--ode", str(ode)]
+    pipeline = ["pipeline", "--a", "1", "--b", "0,0,0,0,1", "--m", "6",
+                "--trunc", "12", "--out-dir", str(tmp_path / "pl")]
+    for argv in (residual + ["--m", "6"], residual + ["--m", "13"],
+                 residual + ["--m", "40"], pipeline):
+        assert run_cli(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "eta-truncation 12" in err
+    assert run_cli(residual + ["--m", "5"]) == 0
+    assert "[PASS] family-solves-inverse-ode" in capsys.readouterr().out
+
+
 def test_truncation_above_packed_key_bound_exits_2(tmp_path, capsys):
     record = {"format": 1, "m": 1, "sign": "+", "truncs": [5, 5, 2**20 + 1],
               "slices": []}

@@ -9,7 +9,7 @@ from segreode.segre import (AdmissiblePhi, RealityReport, RealStructureData,
                             SliceMismatch, build_real, dual_phi_full,
                             dual_phi_lowjet, extract_real, family_residual,
                             reality_check, recover_ode, recovered_to_ode,
-                            solve_phi)
+                            solve_phi, _findphi_rhs)
 from segreode.series import TriSeries, USeries
 
 T = 12
@@ -275,8 +275,23 @@ def _dual_by_full_box_iteration(phi):
         w = new
     else:
         raise AssertionError("full-box iteration did not stabilize")
-    star = w.divide_eta(1).log().divide_eta(m - 1) * (1 / (-I * s))
+    star = _horner_log(w.divide_eta(1)).divide_eta(m - 1) * (1 / (-I * s))
     return AdmissiblePhi(m, -s, star)
+
+
+def _horner_log(s):
+    """log(s) for constant term 1: log(1 + t) = t(1 + t(-1/2 + t(1/3 + ...))).
+
+    The Horner sum runs to the nilpotency bound of t, read off its lowest
+    total degree, so it is independent of the read-off in dual_phi_full.
+    """
+    t = s - s.ring_one()
+    low = t.min_total_order()
+    nmax = 1 if low is None else t.total_degree_cap() // low + 1
+    acc = TriSeries.zero(s.vars, s.truncs)
+    for n in range(nmax, 0, -1):
+        acc = acc * t + t.ring_one() * Fraction((-1) ** (n + 1), n)
+    return acc * t
 
 
 @pytest.mark.parametrize("truncs", [TRUNCS, (4, 6, 10), (6, 3, 9)])
@@ -286,3 +301,20 @@ def test_dual_full_matches_full_box_iteration(structure_samples, truncs):
     for phi in phis:
         dual = dual_phi_full(phi)
         assert dual == _dual_by_full_box_iteration(phi), phi.m
+
+
+@pytest.mark.parametrize("truncs", [(5, 5, 12), (7, 7, 14), (9, 9, 18)])
+def test_solve_phi_returns_a_full_box_fixed_point(structure_samples, truncs):
+    """A Picard sweep on the full box leaves the returned phi unchanged."""
+    zxi = TriSeries.monomial(1, 1, 0, 1, ("z", "xi", "eta"), truncs)
+    for data in structure_samples[:3]:
+        ode = build_real(data)
+        for sign in (1, -1):
+            phi = solve_phi(ode, data.m, sign, truncs)
+            assert phi.truncs == truncs
+            # the minus family is the conjugated plus family of the conjugated ODE
+            pos, src = ((phi.phi, ode) if sign == 1
+                        else (phi.phi.conjugate(), ode.conjugate()))
+            src = src.rescale_order(data.m)
+            rhs = _findphi_rhs(pos, data.m, *(getattr(src, n) for n in "ABCDEF"))
+            assert zxi + rhs.integrate_z(2).truncate(truncs) == pos, (data.m, sign)

@@ -165,6 +165,20 @@ def test_truncation_above_packed_key_bound_raises():
         TriSeries.monomial(0, 0, 0, truncs=(2**20, 1, 1)).integrate_z()
 
 
+def test_exponents_outside_the_box_do_not_alias():
+    # 2**21 in the eta slot packs onto the key of xi
+    xi = TriSeries.monomial(0, 1, 0, 1, truncs=(3, 3, 4))
+    assert xi.coeff(0, 1, 0) == GaussRational(1)
+    for exps in ((0, 0, 2**21), (0, 0, 4), (3, 0, 0), (0, 2**21, 0), (0, -1, 2**21)):
+        assert xi.coeff(*exps) == GaussRational(0), exps
+    assert xi.mul_monomial(0, 0, 2**21) == TriSeries.zero(truncs=(3, 3, 4))
+    assert xi.mul_monomial(0, 0, 4).is_zero()
+    assert xi.mul_monomial(0, 1, 3) == TriSeries.monomial(0, 2, 3, truncs=(3, 3, 4))
+    assert xi.mul_monomial(0, 2, 0).is_zero()
+    with pytest.raises(StructureError):         # would pack to (0, 0, 2**21 - 1)
+        TriSeries(truncs=(3, 3, 4), terms={(0, 1, -1): 1})
+
+
 def test_divide_monomial():
     assert USeries.monomial(3, 2, trunc=9).divide_monomial(3) == \
         USeries.constant(2, trunc=6)
@@ -226,6 +240,47 @@ def test_functional_equations(s):
 def test_trivariate_conjugation_involution(t):
     assert t.conjugate().conjugate() == t
     assert t.swap_zx().swap_zx() == t
+
+
+@st.composite
+def eta_axis_pairs(draw):
+    """Two TriSeries with every term at (0, 0, j), on boxes that differ in
+    eta only, and their slices as USeries."""
+    tz, tx = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    out = []
+    for te in draw(st.tuples(st.integers(1, 8), st.integers(1, 8))):
+        terms = draw(st.dictionaries(st.integers(0, te - 1), gauss, max_size=5))
+        out.append(TriSeries(("z", "xi", "eta"), (tz, tx, te),
+                             {(0, 0, j): q for j, q in terms.items()}))
+        out.append(USeries("w", te, terms))
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(eta_axis_pairs(), gauss, st.integers(0, 4), st.integers(0, 9))
+def test_both_arities_share_the_ring(pairs, c, n, cut):
+    """On the eta axis, every core op agrees with its univariate twin."""
+    a, ua, b, ub = pairs
+    assert a.slice_eta(0, 0) == ua and b.slice_eta(0, 0) == ub
+    # the univariate side against coefficientwise sums, on the meet of the boxes
+    top = min(ua.trunc, ub.trunc)
+    assert ua + ub == USeries("w", top, {j: ua.coeff(j) + ub.coeff(j) for j in range(top)})
+    assert ua * ub == USeries("w", top, {
+        j: sum((ua.coeff(i) * ub.coeff(j - i) for i in range(j + 1)), GaussRational(0))
+        for j in range(top)})
+    assert (a + b).slice_eta(0, 0) == ua + ub
+    assert (a - b).slice_eta(0, 0) == ua - ub
+    assert (a * b).slice_eta(0, 0) == ua * ub
+    assert (a * c).slice_eta(0, 0) == ua * c
+    assert (a + c).slice_eta(0, 0) == ua + c
+    assert (-a).slice_eta(0, 0) == -ua
+    assert a.pow_int(n).slice_eta(0, 0) == ua.pow_int(n)
+    assert a.truncate((3, 3, cut)).slice_eta(0, 0) == ua.truncate(cut)
+    assert a.conjugate().slice_eta(0, 0) == ua.conjugate()
+    assert (a == b) == (ua == ub)
+    t, ut = a - a.constant_term(), ua - ua.constant_term()
+    assert t.exp().slice_eta(0, 0) == ut.exp()
+    assert (t + 1).pow_int(-n).slice_eta(0, 0) == (ut + 1).pow_int(-n)
 
 
 def test_determinism():
