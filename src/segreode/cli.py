@@ -7,7 +7,9 @@ truncation honors the SEGREODE_TRUNC environment variable.
 
 Each claim is decided by one ``check_*`` function over in-memory
 objects; ``verify`` (after loading its input) and ``pipeline`` both call
-them, so a claim reads the same on either path.
+them, so a claim reads the same on either path.  ``segreode.gauge`` is
+imported only inside the verifiers that use it, so ``build``,
+``pipeline`` and the Segre checks start without it.
 """
 
 from __future__ import annotations
@@ -19,9 +21,6 @@ import sys
 
 from . import __version__
 from .errors import SegreOdeError
-from .gauge import (companion_gauge, divergence_report, formal_fundamental,
-                    gauge_chi_tau, linear_family, monodromy_at_infinity,
-                    riccati_check, to_system, transform_ode_by_gauge)
 from .hypersurface import (build_hypersurface, reality_verify,
                            sphere_pushforward_fields, tangency_check)
 from .io import (Report, dumps_canonical, field_from_json, hyperjet_to_json,
@@ -183,6 +182,7 @@ def verify_segre_residual(args):
 
 
 def verify_riccati(args):
+    from .gauge import riccati_check
     ode = load_ode(args.ode)
     p = parse_monomial_expr(args.p, trunc=ode.trunc)
     rep = riccati_check(ode, p)
@@ -192,6 +192,7 @@ def verify_riccati(args):
 
 
 def verify_monodromy(args):
+    from .gauge import linear_family, monodromy_at_infinity, to_system
     ode = load_ode(args.ode) if args.ode else linear_family(_gamma(args))
     rep = monodromy_at_infinity(to_system(ode))
     payload = {"eigenvalues": [str(e) for e in rep.eigenvalues],
@@ -202,6 +203,7 @@ def verify_monodromy(args):
 
 
 def verify_divergence(args):
+    from .gauge import divergence_report
     rep = divergence_report(_gamma(args), args.terms, args.onset)
     payload = {"a1": str(rep.coeffs[1]), "a2": str(rep.coeffs[2]),
                "min_margin": str(rep.min_margin),
@@ -217,6 +219,8 @@ GAUGE_MIN_ORDER = 5
 
 
 def verify_gauge(args):
+    from .gauge import (companion_gauge, formal_fundamental, gauge_chi_tau,
+                        linear_family, transform_ode_by_gauge)
     gamma = _gamma(args)
     order = args.order
     if order < GAUGE_MIN_ORDER:
@@ -246,7 +250,11 @@ def verify_gauge(args):
 
 
 def verify_tangency(args):
-    ode = load_ode(args.ode) if args.ode else linear_family(0, trunc=14)
+    if args.ode:
+        ode = load_ode(args.ode)
+    else:
+        from .gauge import linear_family
+        ode = linear_family(0, trunc=14)
     phi = solve_phi(ode, args.m or ode.m, 1,
                     truncs=_phi_truncs(args, default=(6, 6, 14)))
     jet = build_hypersurface(phi)
@@ -281,46 +289,47 @@ def cmd_verify(args):
 # -- pipeline ---------------------------------------------------------------
 
 def cmd_pipeline(args):
+    """Run the chain, then write every artifact; a failing stage writes none."""
     trunc = resolve_trunc(args.trunc)
     dz = resolve_dz(args.dz, 5)
     outdir = args.out_dir
-    os.makedirs(outdir, exist_ok=True)
-    artifacts = {}
-
-    def write(name, text):
-        path = os.path.join(outdir, name)
-        with open(path, "w") as fh:
-            fh.write(text)
-        artifacts[name] = {"path": path, "sha256": sha256_of(text)}
+    texts = {}
 
     ode = build_real(_real_data(args, trunc))
-    write("ode.json", dumps_canonical(ode_to_json(ode)))
+    texts["ode.json"] = dumps_canonical(ode_to_json(ode))
     reports = [check_structural_relations(ode), check_semi_invariant(ode, "L2")]
 
     truncs = (dz, dz, trunc)
     phi = solve_phi(ode, args.m, 1, truncs=truncs)
-    write("family.json", dumps_canonical(phi_to_json(phi)))
+    texts["family.json"] = dumps_canonical(phi_to_json(phi))
     reports += [check_family_residual(ode, phi),
                 check_real_structure(ode, args.m, truncs)]
 
     jet = build_hypersurface(phi)
-    write("hypersurface.json", dumps_canonical(hyperjet_to_json(jet)))
+    texts["hypersurface.json"] = dumps_canonical(hyperjet_to_json(jet))
     reports += [check_defining_series_reality(jet), check_classification_roundtrip(ode)]
     if ode.is_linear():
         reports.append(LINEAR_FAMILY_INFO)
 
-    write("reports.json", dumps_canonical([r.to_json() for r in reports]))
+    texts["reports.json"] = dumps_canonical([r.to_json() for r in reports])
     manifest = {
         "format": 1,
         "inputs": {"a": args.a, "b": args.b, "c": args.c, "m": args.m,
                    "trunc": trunc, "dz": dz},
         "versions": {"segreode": __version__},
-        "artifacts": artifacts,
+        "artifacts": {name: {"path": os.path.join(outdir, name),
+                             "sha256": sha256_of(text)}
+                      for name, text in texts.items()},
         "reports": {"total": len(reports),
                     "passed": sum(r.status == "pass" for r in reports),
                     "failed": sum(r.status == "fail" for r in reports)},
     }
-    write("manifest.json", dumps_canonical(manifest))
+    texts["manifest.json"] = dumps_canonical(manifest)
+
+    os.makedirs(outdir, exist_ok=True)
+    for name, text in texts.items():
+        with open(os.path.join(outdir, name), "w") as fh:
+            fh.write(text)
     code = emit_reports(reports, as_json=False)
     print(f"artifacts written to {outdir}")
     return code

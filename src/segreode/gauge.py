@@ -7,6 +7,10 @@ linear ODEs under gauge maps, Riccati witnesses, the divergence
 certificate for the unique formal solution, monodromy classification
 through the Fuchsian point at infinity, and the coupled companion
 gauge.
+
+The formal pair comes from the coefficient recurrence of fhat and a
+conjugation (ghat = w conj(fhat) for real gamma); Poincare-Dulac
+serves the monodromy classification and the normal-form checks.
 """
 
 from __future__ import annotations
@@ -313,21 +317,28 @@ def formal_solution_coeffs(gamma, count):
 def formal_fundamental(gamma, order):
     """(fhat, ghat): the formal solution pair of the order-four family.
 
-    fhat is the unique power-series solution with fhat(0) = 1 (from the
-    coefficient recurrence); ghat is the upper-right entry of the
-    Poincare-Dulac gauge, scaled monic in its linear term, so that
+    fhat is the unique power-series solution with fhat(0) = 1, from the
+    coefficient recurrence.  ghat = w conj(fhat), so that
     ghat * w^-1 * exp(-2i/(3w^3)) completes the formal fundamental
-    system.
+    system.  Both are carried to truncation ``order``.
+
+    Derivation: the family is w^4 z'' = (2i - 4w^3) z' + gamma z.  Put
+    z = u E with E = exp(-2i/(3w^3)), so E' = 2i w^-4 E and
+    E'' = (-8i w^-5 - 4 w^-8) E.  Then w^4 z'' = (w^4 u'' + 4i u'
+    - (8i w^-1 + 4 w^-4) u) E and (2i - 4w^3) z' + gamma z =
+    ((2i - 4w^3) u' - (8i w^-1 + 4 w^-4) u + gamma u) E; the pole
+    terms cancel and w^4 u'' + (2i + 4w^3) u' - gamma u = 0 remains.
+    That is the equation of fhat with i replaced by -i, so for real
+    gamma its power-series solution with u(0) = 1 is conj(fhat), and
+    the matching solution of the family is u E = (w conj(fhat)) w^-1 E.
+    The entry (0, 1) of the Poincare-Dulac gauge, made monic, is the
+    same series; here it costs O(order) scalar work.
     """
-    fhat = USeries("w", order, dict(enumerate(formal_solution_coeffs(gamma, order))))
-    ode = linear_family(gamma, trunc=order + 6)
-    pd = poincare_dulac(to_system(ode), order + 2)
-    graw = pd.gauge[0, 1]
-    lead = graw.coeff(1)
-    if lead.is_zero():
-        raise InternalInconsistencyError("gauge entry lost its linear term")
-    ghat = (graw * (1 / lead)).truncate(order)
-    return fhat, ghat
+    g = gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
+    if not g.is_real():
+        raise DomainError("family parameter must be real")
+    fhat = USeries("w", order, dict(enumerate(formal_solution_coeffs(g, order))))
+    return fhat, fhat.conjugate().shift_up(1).truncate(order)
 
 
 @dataclass(frozen=True)

@@ -207,6 +207,31 @@ def test_formal_fundamental_gamma_zero_is_exactly_trivial():
     assert ghat == USeries.monomial(1, 1, trunc=12)
 
 
+def _poincare_dulac_ghat(gamma, order):
+    """ghat the long way: entry (0, 1) of the Poincare-Dulac gauge, made monic."""
+    pd = poincare_dulac(to_system(linear_family(gamma, trunc=order + 6)), order + 2)
+    graw = pd.gauge[0, 1]
+    return (graw * (1 / graw.coeff(1))).truncate(order)
+
+
+@pytest.mark.parametrize("gamma", [1, -2, Fraction(1, 2), Fraction(-2, 3), 0, 5])
+def test_formal_fundamental_ghat_matches_poincare_dulac(gamma):
+    for order in (8, 16, 48):
+        _, ghat = formal_fundamental(gamma, order)
+        assert ghat == _poincare_dulac_ghat(gamma, order)
+        assert ghat.trunc == order
+
+
+def test_formal_fundamental_rejects_nonreal_gamma(monkeypatch):
+    def no_work(*args, **kw):
+        raise AssertionError("formal_fundamental did work on a non-real gamma")
+    for name in ("linear_family", "formal_solution_coeffs", "poincare_dulac"):
+        monkeypatch.setattr(gauge_mod, name, no_work)
+    for gamma in (G(0, 1), G(1, Fraction(-1, 2))):
+        with pytest.raises(DomainError, match="family parameter must be real"):
+            formal_fundamental(gamma, 8)
+
+
 def test_second_solution_solves_ode():
     # ghat * w^-1 * exp(-2i/(3 w^3)) is a formal solution: after dividing
     # the exponential out, the Laurent-coefficient residual must vanish.

@@ -258,6 +258,27 @@ def test_cli_gauge_rejects_undecidable_order(capsys):
     assert out.count("[PASS]") == 4
 
 
+def test_cli_gauge_rejects_nonreal_gamma(capsys):
+    assert run_cli(["verify", "gauge", "--gamma", "i"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "family parameter must be real" in err
+    assert "Traceback" not in err
+
+
+def test_cli_pipeline_failure_writes_no_artifact(tmp_path, capsys):
+    # solve_phi refuses m = 6 at eta-truncation 12 after ode.json is known;
+    # the run must leave --out-dir as it found it
+    argv = ["pipeline", "--a", "1", "--b", "0,0,0,0,1", "--m", "6",
+            "--trunc", "12", "--out-dir"]
+    fresh, existing = tmp_path / "fresh", tmp_path / "existing"
+    existing.mkdir()
+    for outdir in (fresh, existing):
+        assert run_cli(argv + [str(outdir)]) == 2
+        capsys.readouterr()
+    assert not fresh.exists()
+    assert list(existing.iterdir()) == []
+
+
 def test_cli_pipeline_deterministic(tmp_path, capsys):
     d1, d2 = tmp_path / "run1", tmp_path / "run2"
     args = ["pipeline", "--a", "1", "--b", "0,0,0,0,1", "--c", "0",
@@ -294,6 +315,18 @@ def test_cli_entrypoint_subprocess(tmp_path):
          "--gamma", "1", "-K", "60"], capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_cli_import_leaves_gauge_unloaded():
+    import segreode
+    src = os.path.dirname(os.path.dirname(segreode.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, segreode.cli; print('segreode.gauge' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_field_and_linsystem_json_roundtrip():
