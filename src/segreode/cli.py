@@ -27,7 +27,7 @@ from .io import (Report, dumps_canonical, field_from_json, hyperjet_to_json,
                  ode_from_json, ode_to_json, parse_coeff_list,
                  parse_monomial_expr, phi_to_json, sha256_of,
                  ulaurent_to_json)
-from .odes import P0Ode, tresse_l1, tresse_l2, validate_p0
+from .odes import P0Ode, tresse, validate_p0
 from .scalars import GaussRational, parse_gauss
 from .segre import (RealStructureData, build_real, extract_real,
                     family_residual, reality_check, solve_phi)
@@ -77,8 +77,15 @@ def emit_reports(reports, as_json):
 
 
 def load_ode(path) -> P0Ode:
+    """The ODE record at ``path``, whose truncation must be at least 4."""
+    if path is None:
+        raise SegreOdeError("this check needs --ode FILE")
     with open(path) as fh:
-        return ode_from_json(json.load(fh))
+        ode = ode_from_json(json.load(fh))
+    if ode.trunc < MIN_TRUNC:
+        raise SegreOdeError(f"the ODE's truncation must be at least {MIN_TRUNC},"
+                            f" got {ode.trunc}")
+    return ode
 
 
 def _real_data(args, trunc):
@@ -104,7 +111,7 @@ def check_structural_relations(ode):
 
 def check_semi_invariant(ode, name):
     """Claim ``semi-invariant-<name>-vanishes``, ``name`` "L1" or "L2"."""
-    val = {"L1": tresse_l1, "L2": tresse_l2}[name](ode.rhs_poly())
+    val = tresse(ode.rhs_poly(), name)
     return _verdict(f"semi-invariant-{name}-vanishes", val.is_zero(),
                     lambda: json.dumps({f"y^{i}*y1^{j}": repr(c)
                                         for (i, j), c in val.coeffs.items()}))
@@ -172,18 +179,22 @@ def verify_tresse(args):
 
 def verify_reality(args):
     ode = load_ode(args.ode)
-    return [check_real_structure(ode, args.m or ode.m, _phi_truncs(args), args.sign)]
+    return [check_real_structure(ode, _family_order(args, ode), _phi_truncs(args),
+                                 args.sign)]
 
 
 def verify_segre_residual(args):
     ode = load_ode(args.ode)
-    phi = solve_phi(ode, args.m or ode.m, args.sign, truncs=_phi_truncs(args))
+    phi = solve_phi(ode, _family_order(args, ode), args.sign,
+                    truncs=_phi_truncs(args))
     return [check_family_residual(ode, phi)]
 
 
 def verify_riccati(args):
     from .gauge import riccati_check
     ode = load_ode(args.ode)
+    if args.p is None:
+        raise SegreOdeError("verify riccati needs --p WITNESS")
     p = parse_monomial_expr(args.p, trunc=ode.trunc)
     rep = riccati_check(ode, p)
     return [_verdict("log-derivative-witness", rep.ok,
@@ -243,8 +254,8 @@ def verify_gauge(args):
                         lambda: repr(moved.residual_P),
                         residual_order=moved.residual_order()))
     comp = companion_gauge(gauge, 4)
-    sym = (comp.f.equal_mod(gauge.f.conjugate(), comp.f.trunc - 1)
-           and comp.g.equal_mod(gauge.g.conjugate(), comp.g.trunc - 1))
+    sym = (comp.f.equal_mod(gauge.f.conjugate())
+           and comp.g.equal_mod(gauge.g.conjugate()))
     out.append(_verdict("companion-is-conjugate-gauge", sym, lambda: repr(comp.f)))
     return out
 
@@ -255,7 +266,7 @@ def verify_tangency(args):
     else:
         from .gauge import linear_family
         ode = linear_family(0, trunc=14)
-    phi = solve_phi(ode, args.m or ode.m, 1,
+    phi = solve_phi(ode, _family_order(args, ode), 1,
                     truncs=_phi_truncs(args, default=(6, 6, 14)))
     jet = build_hypersurface(phi)
     out = [check_defining_series_reality(jet)]
@@ -341,6 +352,11 @@ def _gamma(args):
     return parse_gauss(args.gamma)
 
 
+def _family_order(args, ode):
+    """``--m`` if given (0 included), else the ODE's own order."""
+    return ode.m if args.m is None else args.m
+
+
 def _phi_truncs(args, default=(5, 5, 12)):
     dz = resolve_dz(args.dz, default[0])
     return (dz, dz, resolve_trunc(args.trunc, default[2]))
@@ -368,7 +384,9 @@ def build_parser():
     v.add_argument("--ode", help="ODE JSON file")
     v.add_argument("--m", type=int, default=None)
     v.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    v.add_argument("--gamma", default="1", help="family parameter (rational)")
+    v.add_argument("--gamma", default="1",
+                   help="family parameter (rational); write a negative one as"
+                        " --gamma=-2/3, since argparse reads -2/3 as a flag")
     v.add_argument("--p", help="Laurent witness, e.g. '2i*w^-4'")
     v.add_argument("--field", help="holomorphic field JSON for tangency")
     v.add_argument("-K", "--terms", type=int, default=60)

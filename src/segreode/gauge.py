@@ -10,7 +10,9 @@ gauge.
 
 The formal pair comes from the coefficient recurrence of fhat and a
 conjugation (ghat = w conj(fhat) for real gamma); Poincare-Dulac
-serves the monodromy classification and the normal-form checks.
+serves the monodromy classification and the normal-form checks.  The
+companion of a gauge (f, g) is (g' / ((g/w)^m f), g) in closed form;
+only the pushforward inverts a gauge.
 """
 
 from __future__ import annotations
@@ -40,11 +42,6 @@ class Mat2:
         one = USeries.constant(1, var, trunc)
         zero = USeries.zero(var, trunc)
         return cls(((one, zero), (zero, one)))
-
-    @classmethod
-    def zero(cls, var="w", trunc=16):
-        z = USeries.zero(var, trunc)
-        return cls(((z, z), (z, z)))
 
     @classmethod
     def from_consts(cls, entries, var="w", trunc=16):
@@ -549,7 +546,8 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
     for large k, but the lower-order terms can push single ratios below
     k/4 past the onset, and then the certificate fails and shows
     nothing.  With the default onset 10 it fails for gamma = -3 and -6
-    at 60 terms and for gamma = -5 at 200 terms.
+    at 60 terms and for gamma = -5 at 200 terms.  The onset must leave
+    at least one ratio to check: 1 <= k_onset < count - 2.
     """
     g = gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
     if g.is_zero():
@@ -557,6 +555,10 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
                           " nothing diverges")
     if count < 12:
         raise DomainError("need at least 12 coefficients for the certificate")
+    if not 1 <= k_onset < count - 2:
+        # an empty range of k would check nothing and pass
+        raise DomainError(f"onset must lie in [1, {count - 3}] for {count} terms,"
+                          f" got {k_onset}")
     a = formal_solution_coeffs(g, count + 1)
     ok = True
     first_violation = -1
@@ -677,18 +679,20 @@ def _const_inverse(P):
 def companion_gauge(F: ScalarGauge, m: int) -> ScalarGauge:
     """The unique parameter-side gauge coupled to F on a foliated graph.
 
-    With (zf, g) the components of the inverse of F, the coupling
-    conditions pin mu = g and lambda = eta^m g' / (g^m f); the companion
-    is the inverse of (xi lambda, mu).  Applying the construction to the
-    companion (roles swapped) returns F: the two conditions are
-    literally symmetric under the swap.
+    Closed form: for F = (f, g), the companion is (g' / ((g/w)^m f), g).
+
+    Derivation: write h for the compositional inverse of g.  Then
+    F^-1 = (1/f(h), h), and the two coupling conditions on F^-1 pin
+    (lambda, mu) = (w^m h' f(h) / h^m, h); the companion is
+    (lambda, mu)^-1 = (1/lambda(g), g).  Since h(g) = w and
+    h'(g) = 1/g', 1/lambda(g) = g' / ((g/w)^m f), with no inversion
+    left.  The conditions are symmetric under swapping the two gauges,
+    and so is the formula: applied to the companion it returns (f, g)
+    exactly.  The factor is carried to min(f.trunc, g.trunc - 1), since
+    g' is known one degree less than g, and the map g one degree past it.
     """
     if m < 1:
         raise DomainError("class order m must be >= 1")
-    Finv = F.inverse()
-    f, g = Finv.f, Finv.g
-    unit = g.divide_monomial(1)          # g / eta
-    lam = g.derivative() * (unit.pow_int(m) * f).invert_unit()
-    lam = lam.truncate(min(lam.trunc, f.trunc - 1))
-    mu = g.truncate(lam.trunc + 1)
-    return ScalarGauge(lam, mu).inverse()
+    f, g = F.f, F.g
+    lam = g.derivative() * (g.divide_monomial(1).pow_int(m) * f).invert_unit()
+    return ScalarGauge(lam, g.truncate(lam.trunc + 1))

@@ -101,10 +101,6 @@ class BiPoly:
             if not q.is_zero():
                 self.coeffs[(i, j)] = q
 
-    @classmethod
-    def zero(cls):
-        return cls()
-
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():

@@ -198,27 +198,6 @@ def singularity_order(m, A, B, C, D, E, F):
                         E.divide_monomial(2 * d), F.divide_monomial(2 * d))
 
 
-@dataclass(frozen=True)
-class InverseOde:
-    """Structural record of the interchanged-variables ODE.
-
-    w'' = -(A z + B)(w')^2 / w^m - (C z^3 + D z^2 + E z + F)(w')^3 / w^(2m),
-    with z now the independent variable.  Used by the Segre solver for
-    residual substitution of solved families.
-    """
-
-    ode: P0Ode
-
-    def __repr__(self):
-        o = self.ode
-        return (f"InverseOde(m={o.m}): w'' = -(Az+B)(w')^2/w^{o.m}"
-                f" - (Cz^3+Dz^2+Ez+F)(w')^3/w^{2 * o.m}")
-
-
-def inverse_ode(ode: P0Ode) -> InverseOde:
-    return InverseOde(ode)
-
-
 class Poly2:
     """Polynomial in (y, y1) with ULaurent coefficients in the base variable.
 
@@ -282,11 +261,6 @@ class Poly2:
         y1 = Poly2({(0, 1): ULaurent.monomial(0, 1, self.var, self.trunc_hint)},
                    self.var, self.trunc_hint)
         return self.d_x() + y1 * self.d_y() + phi * self.d_y1()
-
-    def degrees(self):
-        dy = max((i for i, _ in self.coeffs), default=0)
-        dy1 = max((j for _, j in self.coeffs), default=0)
-        return dy, dy1
 
     def coeff(self, i, j) -> ULaurent:
         return self.coeffs.get((i, j), self._zero())

@@ -27,12 +27,6 @@ class GaussRational:
     def __setattr__(self, name, value):
         raise AttributeError("GaussRational is immutable")
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def from_pairs(cls, re_num, re_den, im_num, im_den):
-        return cls(Fraction(re_num, re_den), Fraction(im_num, im_den))
-
     # -- predicates ---------------------------------------------------
 
     def is_zero(self):

@@ -128,26 +128,33 @@ def _findphi_rhs(phi, m, A, B, C, D, E, F):
     psi = phi.mul_monomial(0, 0, m - 1) * I
     exppsi = psi.exp()
     W = exppsi.mul_monomial(0, 0, 1)           # eta * e^(i eta^(m-1) phi)
-    powers = _power_table(W, A, B, C, D, E, F)
+    lin, cubic = _ode_on_family(W, truncs, A, B, C, D, E, F)
 
     phid = phi.derivative(0).truncate(truncs)
     phid2 = phid * phid
-    phid3 = phid2 * phid
-
-    zmono = TriSeries.monomial(1, 0, 0, 1, PHI_VARS, truncs)
     eta_m1 = TriSeries.monomial(0, 0, m - 1, 1, PHI_VARS, truncs)
-
-    lin = _eval_with_table(A, powers, truncs) * zmono + _eval_with_table(B, powers, truncs)
     term1 = (eta_m1 + lin * _scaled_exp(psi, 1 - m)) * phid2 * (-I)
-
-    if C.is_zero() and D.is_zero() and E.is_zero() and F.is_zero():
+    if cubic is None:
         return term1
+    term2 = cubic * _scaled_exp(psi, 2 - 2 * m) * (phid2 * phid)
+    return term1 + term2
+
+
+def _ode_on_family(W, truncs, A, B, C, D, E, F):
+    """(A(W) z + B(W), C(W) z^3 + D(W) z^2 + E(W) z + F(W)) on the box.
+
+    The cubic is None when C, D, E and F all vanish (a linear sextuple).
+    """
+    powers = _power_table(W, A, B, C, D, E, F)
+    zmono = TriSeries.monomial(1, 0, 0, 1, PHI_VARS, truncs)
+    lin = _eval_with_table(A, powers, truncs) * zmono + _eval_with_table(B, powers, truncs)
+    if C.is_zero() and D.is_zero() and E.is_zero() and F.is_zero():
+        return lin, None
     cubic = (_eval_with_table(C, powers, truncs) * zmono.pow_int(3)
              + _eval_with_table(D, powers, truncs) * zmono.pow_int(2)
              + _eval_with_table(E, powers, truncs) * zmono
              + _eval_with_table(F, powers, truncs))
-    term2 = cubic * _scaled_exp(psi, 2 - 2 * m) * phid3
-    return term1 + term2
+    return lin, cubic
 
 
 def _scaled_exp(psi, k):
@@ -418,17 +425,11 @@ def family_residual(ode: P0Ode, phi: AdmissiblePhi) -> TriSeries:
             f" {truncs[2]} to check")
     ode = ode.rescale_order(m)
     W = phi.family()
-    powers = _power_table(W, ode.A, ode.B, ode.C, ode.D, ode.E, ode.F)
+    lin, cubic = _ode_on_family(W, truncs, ode.A, ode.B, ode.C, ode.D, ode.E, ode.F)
     Wp = W.derivative(0).truncate(truncs)
     Wpp = Wp.derivative(0).truncate(truncs)
     Wm = W.pow_int(m)
-    W2m = Wm * Wm
-    zmono = TriSeries.monomial(1, 0, 0, 1, PHI_VARS, truncs)
-
-    lin = (_eval_with_table(ode.A, powers, truncs) * zmono
-           + _eval_with_table(ode.B, powers, truncs))
-    cubic = (_eval_with_table(ode.C, powers, truncs) * zmono.pow_int(3)
-             + _eval_with_table(ode.D, powers, truncs) * zmono.pow_int(2)
-             + _eval_with_table(ode.E, powers, truncs) * zmono
-             + _eval_with_table(ode.F, powers, truncs))
-    return W2m * Wpp + Wm * lin * Wp * Wp + cubic * Wp * Wp * Wp
+    residual = Wm * Wm * Wpp + Wm * lin * Wp * Wp
+    if cubic is None:
+        return residual
+    return residual + cubic * Wp * Wp * Wp

@@ -392,10 +392,6 @@ class USeries(_Series):
         return USeries._raw(self.vars, self.truncs,
                             {k: (b, 0) for k, (a, b) in self.coeffs.items() if b}, self.den)
 
-    def real_part(self):
-        return USeries._raw(self.vars, self.truncs,
-                            {k: (a, 0) for k, (a, b) in self.coeffs.items() if a}, self.den)
-
     # -- analytic-style operations ---------------------------------------
 
     def invert_unit(self):

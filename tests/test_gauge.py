@@ -16,7 +16,7 @@ from segreode.odes import P0Ode
 from segreode.scalars import GaussRational
 from segreode.series import ULaurent, USeries
 
-from conftest import rnd_fraction
+from conftest import SEED, rnd_fraction
 
 G = GaussRational
 ZERO, ONE = G(0), G(1)
@@ -451,3 +451,45 @@ def test_companion_of_family_gauge_is_conjugate():
     Gc = companion_gauge(F, 4)
     assert Gc.f.equal_mod(F.f.conjugate(), Gc.f.trunc - 1)
     assert Gc.g.equal_mod(F.g.conjugate(), Gc.g.trunc - 1)
+
+
+def _companion_by_inversion(F, m):
+    """The companion by its definition: invert F, apply the coupling
+    conditions to the inverse, and invert the resulting pair."""
+    Fi = F.inverse()
+    f, g = Fi.f, Fi.g
+    lam = g.derivative() * (g.divide_monomial(1).pow_int(m) * f).invert_unit()
+    return ScalarGauge(lam, g).inverse()
+
+
+def _assert_companion_matches_oracle(F, m):
+    Gc, oracle = companion_gauge(F, m), _companion_by_inversion(F, m)
+    assert oracle.f.trunc <= Gc.f.trunc and oracle.g.trunc <= Gc.g.trunc
+    assert Gc.f.equal_mod(oracle.f) and Gc.g.equal_mod(oracle.g)
+    # the closed form is an exact involution on gauges with g.trunc = f.trunc + 1
+    assert Gc.g.trunc == Gc.f.trunc + 1
+    assert companion_gauge(companion_gauge(Gc, m), m) == Gc
+    if F.g.trunc == F.f.trunc + 1:
+        assert companion_gauge(Gc, m) == F
+    return Gc
+
+
+def test_companion_gauge_matches_inversion_oracle_random():
+    # the recipe of test_companion_gauge_random, on a generator of its own
+    rng = random.Random(SEED)
+    for trial in range(10):
+        m = rng.choice((1, 2, 3, 4))
+        f = USeries("w", 14, {0: 1, **{d: rnd_fraction(rng) for d in (1, 2, 4)}})
+        g = USeries("w", 14, {1: 1, **{d: rnd_fraction(rng)
+                                       for d in (m + 1, m + 2)}})
+        _assert_companion_matches_oracle(ScalarGauge(f, g), m)
+
+
+@pytest.mark.parametrize("order", [5, 8, 16, 48])
+@pytest.mark.parametrize("gamma", [1, -2, Fraction(1, 2), Fraction(-2, 3), 0,
+                                   Fraction(5, 2)])
+def test_companion_of_family_gauge_matches_inversion_oracle(gamma, order):
+    F = gauge_chi_tau(*formal_fundamental(gamma, order))
+    Gc = _assert_companion_matches_oracle(F, 4)
+    assert (Gc.f.trunc, Gc.g.trunc) == (F.f.trunc, F.g.trunc) == (order, order + 1)
+    assert Gc.f.equal_mod(F.f.conjugate()) and Gc.g.equal_mod(F.g.conjugate())

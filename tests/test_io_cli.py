@@ -258,6 +258,49 @@ def test_cli_gauge_rejects_undecidable_order(capsys):
     assert out.count("[PASS]") == 4
 
 
+def test_cli_gauge_negative_gamma_with_equals(capsys):
+    # argparse takes "--gamma -2/3" for a missing value; "--gamma=-2/3" works
+    assert run_cli(["verify", "gauge", "--gamma=-2/3", "--order", "8"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 4
+
+
+@pytest.fixture(scope="module")
+def ode_files(tmp_path_factory):
+    """A linear order-four ODE at truncation 8, and the same record with
+    every ``trunc`` set to "0"."""
+    d = tmp_path_factory.mktemp("odes")
+    good = d / "ode.json"
+    assert run_cli(["build", "--a", "1", "--b", "0,0,0,0,1", "--m", "4",
+                    "--trunc", "8", "-o", str(good)]) == 0
+    record = json.loads(good.read_text())
+    for name in "ABCDEF":
+        record[name]["trunc"] = "0"
+    (d / "trunc0.json").write_text(json.dumps(record))
+    return {"ode": str(good), "trunc0": str(d / "trunc0.json")}
+
+
+HOSTILE_VERIFY = [
+    # an onset past the last ratio checks nothing; one below 1 divides by 0
+    ["divergence", "--gamma", "1", "--onset", "300"],
+    ["divergence", "--gamma", "1", "--onset", "0"],
+    ["divergence", "--gamma", "1", "--onset", "-3"],
+    # checks that read an ODE file, called without one
+    *([check] for check in ("p0", "tresse", "reality", "segre-residual", "riccati")),
+    ["riccati", "--ode", "{ode}"],
+    # an ODE record at truncation 0 would pass on empty series
+    *([check, "--ode", "{trunc0}"] for check in ("p0", "tresse", "monodromy")),
+    # --m 0 is a value, not "use the file's m"
+    ["reality", "--ode", "{ode}", "--m", "0"],
+]
+
+
+@pytest.mark.parametrize("argv", HOSTILE_VERIFY, ids=" ".join)
+def test_cli_hostile_verify_input_exits_2(argv, ode_files, capsys):
+    assert run_cli(["verify", *(a.format(**ode_files) for a in argv)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_cli_gauge_rejects_nonreal_gamma(capsys):
     assert run_cli(["verify", "gauge", "--gamma", "i"]) == 2
     err = capsys.readouterr().err

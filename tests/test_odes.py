@@ -1,7 +1,6 @@
 from fractions import Fraction
 
-from segreode.odes import (P0Ode, GeneralP0, Poly2, inverse_ode,
-                           singularity_order, tresse, tresse_l1, tresse_l2,
+from segreode.odes import (P0Ode, GeneralP0, Poly2, singularity_order, tresse, tresse_l1, tresse_l2,
                            validate_p0)
 from segreode.scalars import GaussRational
 from segreode.segre import build_real
@@ -69,11 +68,6 @@ def test_tresse_detects_broken_relation():
     bad = P0Ode(4, ode.A, ode.B, ode.C,
                 USeries.monomial(2, 1, trunc=T), ode.E, ode.F)
     assert not tresse_l2(bad.rhs_poly()).is_zero()
-
-
-def test_inverse_ode_record():
-    inv = inverse_ode(family_ode(0))
-    assert "w''" in repr(inv) and inv.ode.m == 4
 
 
 def test_conjugate_involution(rng):
