@@ -5,6 +5,10 @@ Exit codes: 0 all checks passed, 1 at least one check failed,
 switches the report stream to the structured form.  The default
 truncation honors the SEGREODE_TRUNC environment variable.
 
+Each ``verify`` check takes only the flags its verifier reads
+(``VERIFY_CHECKS``); any other flag is a usage error, which exits 2 like
+every input error.
+
 Each claim is decided by one ``check_*`` function over in-memory
 objects; ``verify`` (after loading its input) and ``pipeline`` both call
 them, so a claim reads the same on either path.  ``segreode.gauge`` is
@@ -215,6 +219,8 @@ def verify_monodromy(args):
 
 def verify_divergence(args):
     from .gauge import divergence_report
+    if args.table < 0:
+        raise SegreOdeError(f"--table must be at least 0, got {args.table}")
     rep = divergence_report(_gamma(args), args.terms, args.onset)
     payload = {"a1": str(rep.coeffs[1]), "a2": str(rep.coeffs[2]),
                "min_margin": str(rep.min_margin),
@@ -279,16 +285,39 @@ def verify_tangency(args):
     return out + [check_tangency(jet, name, X) for name, X in fields]
 
 
-VERIFIERS = {
-    "p0": verify_p0,
-    "tresse": verify_tresse,
-    "reality": verify_reality,
-    "segre-residual": verify_segre_residual,
-    "riccati": verify_riccati,
-    "monodromy": verify_monodromy,
-    "divergence": verify_divergence,
-    "gauge": verify_gauge,
-    "tangency": verify_tangency,
+# Each check: its verifier and the flags that verifier reads; every check
+# also takes --json.  A key of VERIFY_OPTIONS may name aliases ("-K --terms").
+VERIFY_CHECKS = {
+    "p0": (verify_p0, ("--ode",)),
+    "tresse": (verify_tresse, ("--ode",)),
+    "reality": (verify_reality, ("--ode", "--m", "--sign", "--dz", "--trunc")),
+    "segre-residual": (verify_segre_residual,
+                       ("--ode", "--m", "--sign", "--dz", "--trunc")),
+    "riccati": (verify_riccati, ("--ode", "--p")),
+    "monodromy": (verify_monodromy, ("--ode", "--gamma")),
+    "divergence": (verify_divergence, ("--gamma", "-K --terms", "--onset", "--table")),
+    "gauge": (verify_gauge, ("--gamma", "--order")),
+    "tangency": (verify_tangency, ("--ode", "--m", "--field", "--dz", "--trunc")),
+}
+
+# The registry cmd_verify dispatches through, check -> verifier.
+VERIFIERS = {check: fn for check, (fn, _) in VERIFY_CHECKS.items()}
+
+VERIFY_OPTIONS = {
+    "--ode": dict(help="ODE JSON file"),
+    "--m": dict(type=int, default=None, help="family order (default: the ODE's)"),
+    "--sign": dict(type=int, choices=(1, -1), default=1),
+    "--gamma": dict(default="1",
+                    help="family parameter (rational); write a negative one as"
+                         " --gamma=-2/3, since argparse reads -2/3 as a flag"),
+    "--p": dict(help="Laurent witness, e.g. '2i*w^-4'"),
+    "--field": dict(help="holomorphic field JSON for tangency"),
+    "-K --terms": dict(type=int, default=60),
+    "--onset": dict(type=int, default=10),
+    "--table": dict(type=int, default=8),
+    "--order": dict(type=int, default=16),
+    "--trunc": dict(type=int, default=None),
+    "--dz": dict(type=int, default=None),
 }
 
 
@@ -362,8 +391,15 @@ def _phi_truncs(args, default=(5, 5, 12)):
     return (dz, dz, resolve_trunc(args.trunc, default[2]))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors reach ``main`` as input errors, which exit 2."""
+
+    def error(self, message):
+        raise SegreOdeError(f"{self.prog}: {message}\n{self.format_usage().rstrip()}")
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="segreode",
         description="Exact constructions and checks for singular cubic ODEs, "
                     "admissible Segre families and nonminimal hypersurfaces.")
@@ -380,22 +416,12 @@ def build_parser():
     b.set_defaults(func=cmd_build)
 
     v = sub.add_parser("verify", help="run a verification suite")
-    v.add_argument("check", choices=sorted(VERIFIERS))
-    v.add_argument("--ode", help="ODE JSON file")
-    v.add_argument("--m", type=int, default=None)
-    v.add_argument("--sign", type=int, choices=(1, -1), default=1)
-    v.add_argument("--gamma", default="1",
-                   help="family parameter (rational); write a negative one as"
-                        " --gamma=-2/3, since argparse reads -2/3 as a flag")
-    v.add_argument("--p", help="Laurent witness, e.g. '2i*w^-4'")
-    v.add_argument("--field", help="holomorphic field JSON for tangency")
-    v.add_argument("-K", "--terms", type=int, default=60)
-    v.add_argument("--onset", type=int, default=10)
-    v.add_argument("--table", type=int, default=8)
-    v.add_argument("--order", type=int, default=16)
-    v.add_argument("--trunc", type=int, default=None)
-    v.add_argument("--dz", type=int, default=None)
-    v.add_argument("--json", action="store_true")
+    checks = v.add_subparsers(dest="check", required=True)
+    for check, (_, flags) in sorted(VERIFY_CHECKS.items()):
+        c = checks.add_parser(check)
+        for flag in flags:
+            c.add_argument(*flag.split(), **VERIFY_OPTIONS[flag])
+        c.add_argument("--json", action="store_true")
     v.set_defaults(func=cmd_verify)
 
     pl = sub.add_parser("pipeline", help="full chain: ODE, family, "
@@ -412,9 +438,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         code = args.func(args)
     except SegreOdeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,10 +9,12 @@ through the Fuchsian point at infinity, and the coupled companion
 gauge.
 
 The formal pair comes from the coefficient recurrence of fhat and a
-conjugation (ghat = w conj(fhat) for real gamma); Poincare-Dulac
-serves the monodromy classification and the normal-form checks.  The
-companion of a gauge (f, g) is (g' / ((g/w)^m f), g) in closed form;
-only the pushforward inverts a gauge.
+conjugation (ghat = w conj(fhat) for real gamma); the recurrence and
+the divergence certificate run on Gaussian-integer numerators over one
+known denominator.  Poincare-Dulac serves the monodromy classification
+and the normal-form checks.  The companion of a gauge (f, g) is
+(g' / ((g/w)^m f), g) in closed form; only the pushforward inverts a
+gauge.
 """
 
 from __future__ import annotations
@@ -22,9 +24,10 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError, StructureError
 from .odes import P0Ode
-from .scalars import GaussRational, I, gauss_sqrt_exact
+from .scalars import GaussRational, gauss_sqrt_exact
 from .segre import RealStructureData, build_real
-from .series import ULaurent, USeries, _combine_shifted, _div_quadratic
+from .series import (ULaurent, USeries, _combine_shifted, _div_quadratic,
+                     _scalar_triple)
 
 
 class Mat2:
@@ -281,9 +284,13 @@ def conjugation_residual(sys: LinSystem, pd: PDResult) -> Mat2:
     return lhs.map(lambda e: e.truncate(min(e.trunc, pd.order + 1)))
 
 
+def _as_gauss(gamma):
+    return gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
+
+
 def linear_family(gamma, m=4, trunc=20) -> P0Ode:
     """The one-parameter linear sextuple (a, b, c) = (1, gamma*w^m, 0)."""
-    g = gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
+    g = _as_gauss(gamma)
     data = RealStructureData(a=USeries.constant(1, "w", trunc),
                              b=USeries.monomial(m, g, "w", trunc) if not g.is_zero()
                              else USeries.zero("w", trunc),
@@ -294,21 +301,57 @@ def linear_family(gamma, m=4, trunc=20) -> P0Ode:
     return build_real(data)
 
 
+def _formal_numerators(g, count):
+    """(b, q): the integer numerators b_n of the formal solution, n < count.
+
+    See ``formal_solution_coeffs``; b_n is the Gaussian integer
+    a_n (2i)^n n! q^n, kept as an (re, im) pair of ints.
+    """
+    pr, pi, q = _scalar_triple(g)
+    c = -4 * q ** 3
+    b = [(1, 0)]
+    for n in range(count - 1):
+        x, y = b[n]
+        re, im = pi * y - pr * x, -pr * y - pi * x
+        if n >= 3:
+            s = c * (n + 1) * n * (n - 1) * (n - 2)
+            u, v = b[n - 2]
+            re, im = re + s * u, im + s * v
+        b.append((re, im))
+    return b, q
+
+
 def formal_solution_coeffs(gamma, count):
     """Exact coefficients of the unique formal solution with value 1.
 
-    a_{k+3} = k a_k/(2i) - gamma a_{k+2}/(2i(k+3)), seeded a_0 = 1;
-    this is the order-by-order substitution of a power series into the
-    order-four linear family.
+    a_{n+1} = [(n-2)(n+1) a_{n-2} - gamma a_n] / (2i(n+1)), seeded
+    a_0 = 1; this is the order-by-order substitution of a power series
+    into the order-four linear family.  ``count`` below 2 still returns
+    [1].
+
+    The recurrence runs on integers.  Write gamma = p/q with p a
+    Gaussian integer and q >= 1 the lcm of the two denominators, and
+    substitute a_n = b_n / ((2i)^n n! q^n).  Multiplying through by
+    (2i)^(n+1) (n+1)! q^(n+1) gives
+
+        b_{n+1} = -4 q^3 (n+1) n (n-1) (n-2) b_{n-2} - p b_n,  b_0 = 1,
+
+    Gaussian-integer arithmetic with no gcd.  Each coefficient is read
+    off once as a_n = b_n (-i)^n / (2^n n! q^n).
     """
-    g = gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
-    two_i = 2 * I
-    a = [GaussRational(1)]
-    for n in range(count - 1):
-        # a_{n+1} = [ (n-2)(n+1) a_{n-2} - g a_n ] / (2i (n+1))
-        prev = a[n - 2] if n >= 2 else GaussRational(0)
-        a.append((prev * ((n - 2) * (n + 1)) - g * a[n]) / (two_i * (n + 1)))
-    return a
+    b, q = _formal_numerators(_as_gauss(gamma), count)
+    return _coeffs_from_numerators(b, q)
+
+
+def _coeffs_from_numerators(b, q):
+    """[a_n = b_n (-i)^n / (2^n n! q^n)] as GaussRationals."""
+    out, den = [], 1
+    for n, (x, y) in enumerate(b):
+        if n:
+            den *= 2 * n * q
+        re, im = ((x, y), (y, -x), (-x, -y), (-y, x))[n & 3]     # b_n (-i)^n
+        out.append(GaussRational(Fraction(re, den), Fraction(im, den)))
+    return out
 
 
 def formal_fundamental(gamma, order):
@@ -331,7 +374,7 @@ def formal_fundamental(gamma, order):
     The entry (0, 1) of the Poincare-Dulac gauge, made monic, is the
     same series; here it costs O(order) scalar work.
     """
-    g = gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
+    g = _as_gauss(gamma)
     if not g.is_real():
         raise DomainError("family parameter must be real")
     fhat = USeries("w", order, dict(enumerate(formal_solution_coeffs(g, order))))
@@ -548,8 +591,17 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
     nothing.  With the default onset 10 it fails for gamma = -3 and -6
     at 60 terms and for gamma = -5 at 200 terms.  The onset must leave
     at least one ratio to check: 1 <= k_onset < count - 2.
+
+    The margins are integer ratios of the numerators b_n of
+    ``formal_solution_coeffs``: with a_n = b_n (-i)^n / (2^n n! q^n),
+
+        16 |a_{k+3}|^2 / (k^2 |a_k|^2)
+            = |b_{k+3}|^2 / (2k(k+1)(k+2)(k+3) q^3 |b_k|)^2,
+
+    so "margin < 1" compares two integers, the minimum is found by
+    cross-multiplication, and ``min_margin`` is one Fraction at the end.
     """
-    g = gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
+    g = _as_gauss(gamma)
     if g.is_zero():
         raise DomainError("the parameter-zero family has the constant solution;"
                           " nothing diverges")
@@ -559,23 +611,23 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
         # an empty range of k would check nothing and pass
         raise DomainError(f"onset must lie in [1, {count - 3}] for {count} terms,"
                           f" got {k_onset}")
-    a = formal_solution_coeffs(g, count + 1)
-    ok = True
+    b, q = _formal_numerators(g, count + 1)
+    norm2 = [x * x + y * y for x, y in b]
+    q3 = q ** 3
     first_violation = -1
-    min_margin = None
+    best = None                 # (numerator, denominator) of the least margin
     for k in range(k_onset, count - 2):
-        ak2 = a[k].abs2()
-        if not ak2:
+        if not norm2[k]:
             continue
-        margin = a[k + 3].abs2() * 16 / (ak2 * k * k)
-        if min_margin is None or margin < min_margin:
-            min_margin = margin
-        if margin < 1:
-            ok = False
-            if first_violation < 0:
-                first_violation = k
-    return DivergenceReport(g, tuple(a), k_onset, ok, first_violation,
-                            min_margin if min_margin is not None else Fraction(0))
+        num = norm2[k + 3]
+        den = (2 * k * (k + 1) * (k + 2) * (k + 3) * q3) ** 2 * norm2[k]
+        if best is None or num * best[1] < best[0] * den:
+            best = (num, den)
+        if num < den and first_violation < 0:
+            first_violation = k
+    return DivergenceReport(g, tuple(_coeffs_from_numerators(b, q)), k_onset,
+                            first_violation < 0, first_violation,
+                            Fraction(*best) if best is not None else Fraction(0))
 
 
 @dataclass(frozen=True)

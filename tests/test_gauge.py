@@ -225,7 +225,8 @@ def test_formal_fundamental_ghat_matches_poincare_dulac(gamma):
 def test_formal_fundamental_rejects_nonreal_gamma(monkeypatch):
     def no_work(*args, **kw):
         raise AssertionError("formal_fundamental did work on a non-real gamma")
-    for name in ("linear_family", "formal_solution_coeffs", "poincare_dulac"):
+    for name in ("linear_family", "formal_solution_coeffs", "_formal_numerators",
+                 "poincare_dulac"):
         monkeypatch.setattr(gauge_mod, name, no_work)
     for gamma in (G(0, 1), G(1, Fraction(-1, 2))):
         with pytest.raises(DomainError, match="family parameter must be real"):
@@ -397,6 +398,67 @@ def test_divergence_parity_reality():
         a = formal_solution_coeffs(gamma, 40)
         for k, q in enumerate(a):
             assert q.im == 0 if k % 2 == 0 else q.re == 0
+
+
+ORACLE_GAMMAS = [1, -2, 2, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3),
+                 Fraction(-2, 3), Fraction(-1, 3), 5, -3, -5, -6, Fraction(7, 5),
+                 G(0, 1), G(1, 1), G(Fraction(1, 2), Fraction(-1, 3))]
+
+
+def _coeffs_by_gauss_recurrence(gamma, count):
+    """The formal solution the long way: the recurrence run in Q(i)."""
+    g = gamma if isinstance(gamma, G) else G(Fraction(gamma))
+    a = [ONE]
+    for n in range(count - 1):
+        # a_{n+1} = [ (n-2)(n+1) a_{n-2} - g a_n ] / (2i (n+1))
+        prev = a[n - 2] if n >= 2 else ZERO
+        a.append((prev * ((n - 2) * (n + 1)) - g * a[n]) / (TWO_I * (n + 1)))
+    return a
+
+
+def _divergence_by_gauss_recurrence(gamma, count, k_onset):
+    """(coeffs, ok, first violation, least margin) with rational margins."""
+    a = _coeffs_by_gauss_recurrence(gamma, count + 1)
+    ok, first_violation, min_margin = True, -1, None
+    for k in range(k_onset, count - 2):
+        ak2 = a[k].abs2()
+        if not ak2:
+            continue
+        margin = a[k + 3].abs2() * 16 / (ak2 * k * k)
+        if min_margin is None or margin < min_margin:
+            min_margin = margin
+        if margin < 1:
+            ok = False
+            if first_violation < 0:
+                first_violation = k
+    return tuple(a), ok, first_violation, \
+        min_margin if min_margin is not None else Fraction(0)
+
+
+@pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=str)
+def test_formal_solution_coeffs_match_the_gauss_recurrence(gamma):
+    for count in (0, 1, 2, 3, 4, 16, 48, 201):
+        assert formal_solution_coeffs(gamma, count) == \
+            _coeffs_by_gauss_recurrence(gamma, count), count
+
+
+@pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=str)
+def test_divergence_report_matches_the_rational_margins(gamma):
+    for count, k_onset in ((60, 10), (200, 10), (12, 1), (40, 37)):
+        rep = divergence_report(gamma, count, k_onset)
+        got = (rep.coeffs, rep.certificate_ok, rep.first_violation, rep.min_margin)
+        assert got == _divergence_by_gauss_recurrence(gamma, count, k_onset), \
+            (count, k_onset)
+        assert type(rep.min_margin) is Fraction
+
+
+@pytest.mark.parametrize("gamma", [g for g in ORACLE_GAMMAS if not isinstance(g, G)],
+                         ids=str)
+def test_formal_fundamental_matches_the_gauss_recurrence(gamma):
+    for order in (1, 5, 16, 48):
+        fhat, _ = formal_fundamental(gamma, order)
+        assert fhat == USeries("w", order, dict(enumerate(
+            _coeffs_by_gauss_recurrence(gamma, order))))
 
 
 def test_monodromy_trivial_family():

@@ -1,5 +1,6 @@
 import json
 import os
+import shlex
 import subprocess
 import sys
 
@@ -202,8 +203,9 @@ def test_cli_pipeline_and_verify_report_alike(tmp_path, capsys):
     piped = {r["claim"]: r for r in json.loads((outdir / "reports.json").read_text())}
     seen = []
     for check in ("p0", "reality", "segre-residual"):
+        flags = [] if check == "p0" else sizes
         assert run_cli(["verify", check, "--ode", str(outdir / "ode.json"),
-                        *sizes, "--json"]) == 0
+                        *flags, "--json"]) == 0
         for report in json.loads(capsys.readouterr().out):
             assert report == piped[report["claim"]]
             seen.append(report["claim"])
@@ -291,6 +293,15 @@ HOSTILE_VERIFY = [
     *([check, "--ode", "{trunc0}"] for check in ("p0", "tresse", "monodromy")),
     # --m 0 is a value, not "use the file's m"
     ["reality", "--ode", "{ode}", "--m", "0"],
+    # a flag the check does not read is refused, not silently ignored
+    ["p0", "--ode", "{ode}", "--trunc", "5"],
+    ["tresse", "--ode", "{ode}", "--dz", "9"],
+    ["divergence", "--order", "7"],
+    ["gauge", "-K", "7"],
+    ["p0", "--ode", "{ode}", "--gamma", "3"],
+    ["tangency", "--gamma", "0"],
+    # a negative table length would slice from the end
+    ["divergence", "--table", "-3"],
 ]
 
 
@@ -299,6 +310,51 @@ def test_cli_hostile_verify_input_exits_2(argv, ode_files, capsys):
     assert run_cli(["verify", *(a.format(**ode_files) for a in argv)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+MALFORMED_ODE_RECORDS = {
+    "m-abc": lambda r: {**r, "m": "abc"},
+    "m-negative": lambda r: {**r, "m": -1},
+    "missing-A": lambda r: {k: v for k, v in r.items() if k != "A"},
+    "trunc-1e9": lambda r: {**r, "A": {**r["A"], "trunc": "1e9"}},
+    "terms-not-a-list": lambda r: {**r, "A": {**r["A"], "terms": 7}},
+    "top-level-list": lambda r: [r],
+    "top-level-null": lambda r: None,
+    "A-string": lambda r: {**r, "A": "1+w"},
+}
+
+MALFORMED_LITERALS = [
+    *(["build", "--a", a, "--b", "0", "--m", "1"] for a in ("1/0", "2**3", "1+", "1e5")),
+    *(["verify", "riccati", "--ode", "{ode}", "--p", p] for p in ("w^^2", "2i*z^-4")),
+    *(["verify", check, f"--gamma={g}"] for check in ("divergence", "monodromy", "gauge")
+      for g in ("1/2/3", "abc")),
+    ["pipeline", "--a", "1", "--b", "0", "--c", "1/0", "--m", "1", "--out-dir", "{out}"],
+]
+
+
+def _malformed_cases():
+    for name in MALFORMED_ODE_RECORDS:
+        for check in ("p0", "tresse", "monodromy"):
+            yield pytest.param(("ode", name, check), id=f"{check}-{name}")
+    for argv in MALFORMED_LITERALS:
+        yield pytest.param(("argv", argv), id=" ".join(argv))
+
+
+@pytest.mark.parametrize("case", _malformed_cases())
+def test_cli_malformed_input_exits_2(case, ode_files, tmp_path, capsys):
+    if case[0] == "ode":
+        _, name, check = case
+        with open(ode_files["ode"]) as fh:
+            record = json.load(fh)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(MALFORMED_ODE_RECORDS[name](record)))
+        argv = ["verify", check, "--ode", str(path)]
+    else:
+        argv = [a.format(out=tmp_path / "out", **ode_files) for a in case[1]]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_gauge_rejects_nonreal_gamma(capsys):
@@ -370,6 +426,27 @@ def test_cli_import_leaves_gauge_unloaded():
         capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _readme_commands():
+    """The ``segreode ...`` lines of README's "Command line" block, in order."""
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        text = fh.read().split("## Command line", 1)[1]
+    block = text.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()
+            if line.startswith("segreode ")]
+
+
+def test_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
+    commands = _readme_commands()
+    assert commands[0][0] == "build" and len(commands) > 10
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        # the witness 2i*w^-4 fails the parameter-one ODE that build wrote
+        want = 1 if argv[:2] == ["verify", "riccati"] else 0
+        assert run_cli(argv) == want, argv
+    capsys.readouterr()
 
 
 def test_field_and_linsystem_json_roundtrip():
