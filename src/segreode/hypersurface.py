@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .scalars import GaussRational
 from .segre import AdmissiblePhi
-from .series import TriSeries, unpack
+from .series import TriSeries, _combine_shifted, _powers, unpack
 
 HYPER_VARS = ("z", "zbar", "wbar")
 
@@ -147,13 +147,11 @@ class BiPoly:
 
     def eval_series(self, zfac: TriSeries, wfac: TriSeries) -> TriSeries:
         """Evaluate with z -> zfac, w -> wfac (TriSeries substitution)."""
-        wpow = {0: zfac.ring_one()}
-        for j in range(1, self.max_w_degree() + 1):
-            wpow[j] = wpow[j - 1] * wfac
-        acc = TriSeries.zero(zfac.vars, zfac.truncs)
-        for (i, j), q in sorted(self.coeffs.items()):
-            acc = acc + zfac.pow_int(i) * wpow[j] * q
-        return acc
+        wpow = _powers(wfac, self.max_w_degree())
+        terms = [(q, zfac.pow_int(i) * wpow[j])
+                 for (i, j), q in self.coeffs.items() if j < len(wpow)]
+        return _combine_shifted(TriSeries.zero(zfac.vars, zfac.truncs), 0, terms,
+                                zfac.truncs)
 
     def __repr__(self):
         if not self.coeffs:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from .errors import DomainError, InternalInconsistencyError, PrecisionError
 from .odes import P0Ode, validate_p0
 from .scalars import GaussRational, I
-from .series import TriSeries, USeries
+from .series import TriSeries, USeries, _compose
 
 PHI_VARS = ("z", "xi", "eta")
 
@@ -90,9 +90,11 @@ def solve_phi(ode: P0Ode, m: int, sign: int = 1,
     the family into the inverse ODE, with phi(0) = 0 and the z-slope
     pinned to xi.  Each sweep of the precision ladder makes phi exact
     one z-order wider, so the sweep that reaches the full box returns
-    the fixed point and no further sweep is run.  Negative-sign families
-    are obtained from the positive family of the conjugated ODE (single
-    code path).
+    the fixed point and no further sweep is run.  A sweep reads the
+    ODE's coefficients, known below w^ode.trunc only, so for tz > 2 phi
+    comes back on (tz, tx, min(te, ode.trunc)): its eta-truncation is at
+    most the ODE's.  Negative-sign families are obtained from the
+    positive family of the conjugated ODE (single code path).
     """
     bad = validate_p0(ode)
     if bad:
@@ -128,7 +130,7 @@ def _findphi_rhs(phi, m, A, B, C, D, E, F):
     psi = phi.mul_monomial(0, 0, m - 1) * I
     exppsi = psi.exp()
     W = exppsi.mul_monomial(0, 0, 1)           # eta * e^(i eta^(m-1) phi)
-    lin, cubic = _ode_on_family(W, truncs, A, B, C, D, E, F)
+    lin, cubic = _ode_on_family(W, A, B, C, D, E, F)
 
     phid = phi.derivative(0).truncate(truncs)
     phid2 = phid * phid
@@ -140,20 +142,21 @@ def _findphi_rhs(phi, m, A, B, C, D, E, F):
     return term1 + term2
 
 
-def _ode_on_family(W, truncs, A, B, C, D, E, F):
-    """(A(W) z + B(W), C(W) z^3 + D(W) z^2 + E(W) z + F(W)) on the box.
+def _ode_on_family(W, A, B, C, D, E, F):
+    """(A(W) z + B(W), C(W) z^3 + D(W) z^2 + E(W) z + F(W)).
 
-    The cubic is None when C, D, E and F all vanish (a linear sextuple).
+    W is eta times a unit, so X(W) is exact on W's box below the
+    eta-truncation of X: the pair carries eta-truncation at most the
+    ODE's.  The compositions share one power table of W.  The cubic is
+    None when C, D, E and F all vanish (a linear sextuple).
     """
-    powers = _power_table(W, A, B, C, D, E, F)
-    zmono = TriSeries.monomial(1, 0, 0, 1, PHI_VARS, truncs)
-    lin = _eval_with_table(A, powers, truncs) * zmono + _eval_with_table(B, powers, truncs)
-    if C.is_zero() and D.is_zero() and E.is_zero() and F.is_zero():
+    linear = C.is_zero() and D.is_zero() and E.is_zero() and F.is_zero()
+    at = _compose((A, B) if linear else (A, B, C, D, E, F), W)
+    lin = at[0].mul_monomial(1, 0, 0) + at[1]
+    if linear:
         return lin, None
-    cubic = (_eval_with_table(C, powers, truncs) * zmono.pow_int(3)
-             + _eval_with_table(D, powers, truncs) * zmono.pow_int(2)
-             + _eval_with_table(E, powers, truncs) * zmono
-             + _eval_with_table(F, powers, truncs))
+    cubic = (at[2].mul_monomial(3, 0, 0) + at[3].mul_monomial(2, 0, 0)
+             + at[4].mul_monomial(1, 0, 0) + at[5])
     return lin, cubic
 
 
@@ -161,33 +164,6 @@ def _scaled_exp(psi, k):
     if k == 0:
         return TriSeries.constant(1, psi.vars, psi.truncs)
     return (psi * k).exp()
-
-
-def _power_table(W, *series):
-    """[W^0, W^1, ..., W^d] for the highest degree d stored in ``series``.
-
-    Stops early once a power vanishes in the ring; ``_eval_with_table``
-    reads no power beyond either bound.
-    """
-    top = max((max(s.coeffs) for s in series if s.coeffs), default=0)
-    table = [TriSeries.constant(1, W.vars, W.truncs)]
-    cur = table[0]
-    for _ in range(top):
-        cur = cur * W
-        if cur.is_zero():
-            break
-        table.append(cur)
-    return table
-
-
-def _eval_with_table(series: USeries, powers, truncs):
-    """series(W) using a precomputed power table of W."""
-    acc = TriSeries.zero(PHI_VARS, truncs)
-    for d, q in series.terms():
-        if d >= len(powers):
-            break
-        acc = acc + powers[d] * q
-    return acc
 
 
 def recover_ode(phi: AdmissiblePhi):
@@ -323,7 +299,9 @@ def reality_check(ode: P0Ode, m: int, sign: int = 1,
     degree in the coefficient variable.  Only the slices (k, l) <= (3, 3)
     are read, so phi is solved on the box (min(tz, 4), min(tx, 4), te):
     the solve is truncation-honest, so the report, checked_order
-    included, is the one a solve on the full box would give.
+    included, is the one a solve on the full box would give.  For
+    tz > 2, checked_order is at most the ODE's truncation, as the
+    solve's eta-truncation is.
     """
     if sign == -1:
         return reality_check(ode.conjugate(), m, 1, truncs)
@@ -414,8 +392,9 @@ def family_residual(ode: P0Ode, phi: AdmissiblePhi) -> TriSeries:
     and multiplies through by W^(2m); the returned series is zero
     exactly when the family solves the inverse ODE modulo truncation
     (certified up to 2m lost eta-orders from the clearing factor).
-    W^(2m) vanishes once 2m reaches the eta-truncation, and so would
-    the residual: such an m raises PrecisionError.
+    Its eta-truncation is at most phi's and the ODE's.  W^(2m) vanishes
+    once 2m reaches phi's, and so would the residual: such an m raises
+    PrecisionError.
     """
     m = phi.m
     truncs = phi.phi.truncs
@@ -425,7 +404,7 @@ def family_residual(ode: P0Ode, phi: AdmissiblePhi) -> TriSeries:
             f" {truncs[2]} to check")
     ode = ode.rescale_order(m)
     W = phi.family()
-    lin, cubic = _ode_on_family(W, truncs, ode.A, ode.B, ode.C, ode.D, ode.E, ode.F)
+    lin, cubic = _ode_on_family(W, ode.A, ode.B, ode.C, ode.D, ode.E, ode.F)
     Wp = W.derivative(0).truncate(truncs)
     Wpp = Wp.derivative(0).truncate(truncs)
     Wm = W.pow_int(m)

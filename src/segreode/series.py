@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from . import backend
 from .backend import MASK, MAX_TRUNC, SHIFT1, SHIFT2
-from .errors import DomainError, PrecisionError, StructureError
+from .errors import DomainError, StructureError
 from .scalars import GaussRational
 
 _SCALARS = (int, Fraction, GaussRational)
@@ -244,8 +244,8 @@ class _Series:
         return self._raw(self.vars, truncs, cf, self.den * other.den)
 
     def _box(self, truncs):
-        """``truncs`` as a tuple; one variable takes a bare int."""
-        return (truncs,) if len(self.truncs) == 1 else tuple(truncs)
+        """``truncs`` as a tuple; one variable also takes a bare int."""
+        return (truncs,) if isinstance(truncs, int) else tuple(truncs)
 
     def truncate(self, truncs):
         """The terms inside the meet of the box and ``truncs``."""
@@ -427,38 +427,15 @@ class USeries(_Series):
         return (self.log() * Fraction(e)).exp()
 
     def eval_at(self, t):
-        """Composition self(t); t needs zero constant term.
+        """Composition self(t) for t of one or three variables.
 
-        Sound whenever t**self.trunc vanishes in t's ring; univariate
-        arguments are truncated down to the honest composition order
-        (self.trunc times the valuation of t), where the bound holds, so
-        the powers stop at the highest stored degree of self.  Trivariate
-        arguments must already satisfy the bound (the callers
-        over-allocate), and it is checked.
+        t must vanish at the origin and, in three variables, be divisible
+        by the third (DomainError otherwise).  With v the valuation of t
+        in w (one variable) or in the third variable (three), the result
+        is exact on that axis below self.trunc * v, which is its
+        truncation there; on the other axes it keeps t's box.
         """
-        if not t.constant_term().is_zero():
-            raise DomainError("eval_at: argument must have zero constant term")
-        univariate = isinstance(t, USeries)
-        if univariate:
-            if not t.is_zero():
-                t = t.truncate(self.trunc * t.order())
-            top = max(self.coeffs, default=0) + 1
-        else:
-            top = self.trunc
-        one = t.ring_one()
-        acc = one * self.coeff(0)
-        power = one
-        for k in range(1, top):
-            power = power * t
-            if power.is_zero():
-                return acc
-            c = self.coeff(k)
-            if not c.is_zero():
-                acc = acc + power * c
-        if not univariate and not (power * t).is_zero():
-            raise PrecisionError(
-                "eval_at: composition not determined at this truncation")
-        return acc
+        return _compose((self,), t)[0]
 
     def __repr__(self):
         if not self.coeffs:
@@ -509,35 +486,80 @@ def _exp_graded(coeffs, den, grade, ngrades, mul):
     return out, math.factorial(top) * den ** top
 
 
-def _combine_shifted(base, shift, terms, trunc):
-    """base + var**shift * sum(c * s for c, s in terms), below trunc.
+def _combine_shifted(base, shift, terms, trunc, den=None):
+    """base + var**shift * sum(c * s for c, s in terms), inside the box trunc.
 
     One pass over integer pairs and one content normalization, where
     scaling, shifting, truncating and adding would normalize at every
-    step.  The result is exact below min(trunc, base.trunc, s.trunc +
-    shift) over the terms with c != 0, which is its truncation.
+    step.  A coefficient c is a scalar or, given ``den``, the Gaussian
+    integer pair (a, b) standing for (a + b*i)/den.  The shift moves the
+    first variable; three variables take shift 0.  The result is exact
+    inside the meet of trunc, the box of base and the box of each s with
+    c != 0 (its first axis raised by shift), which is its box.
     """
-    parts = [(s, *_scalar_triple(c)) for c, s in terms if c]
-    trunc = min([trunc, base.trunc] + [s.trunc + shift for s, *_ in parts])
+    if den is None:
+        parts = [(s, *_scalar_triple(c)) for c, s in terms if c]
+    else:
+        parts = [(s, a, b, den) for (a, b), s in terms if a or b]
+    box = tuple(map(min, base._box(trunc), base.truncs))
+    for s, *_ in parts:
+        box = tuple(map(min, box, (s.truncs[0] + shift,) + s.truncs[1:]))
     den = base.den
     for s, _, _, d in parts:
         den = math.lcm(den, s.den * d)
     m = den // base.den
-    out = {k: (a * m, b * m) for k, (a, b) in base.coeffs.items() if k < trunc}
+    cf = base.coeffs if box == base.truncs else _cut(base.coeffs, box)
+    out = {k: (a * m, b * m) for k, (a, b) in cf.items()}
+    sbox = (box[0] - shift,) + box[1:]
     for s, ca, cb, d in parts:
         m = den // (s.den * d)
         ca, cb = ca * m, cb * m
-        for k, (a, b) in s.coeffs.items():
+        cf = s.coeffs if s.truncs == sbox else _cut(s.coeffs, sbox)
+        for k, (a, b) in cf.items():
             k += shift
-            if k >= trunc:
-                continue
             re, im = a * ca - b * cb, a * cb + b * ca
             cur = out.get(k)
             if cur is not None:
                 re, im = re + cur[0], im + cur[1]
             out[k] = (re, im)
     out = {k: v for k, v in out.items() if v[0] or v[1]}
-    return USeries._raw(base.vars, (trunc,), out, den)
+    return base._raw(base.vars, box, out, den)
+
+
+def _powers(t, top):
+    """[1, t, t**2, ...] up to t**top, cut before the first power that vanishes."""
+    table = [t.ring_one()]
+    for _ in range(top):
+        power = t if len(table) == 1 else table[-1] * t
+        if power.is_zero():
+            break
+        table.append(power)
+    return table
+
+
+def _compose(series, t):
+    """[s(t) for s in series], each by the contract of ``USeries.eval_at``.
+
+    The series share one table of forward powers of t, up to the highest
+    degree any of them stores; each s(t) is one linear combination of it.
+    """
+    axis = len(t.truncs) - 1
+    v = min((key & MASK for key in t.coeffs) if axis else t.coeffs, default=None)
+    if v == 0:
+        raise DomainError("composition: the argument must vanish at the origin"
+                          + (f" and be divisible by {t.vars[2]}" if axis else ""))
+
+    def box(trunc):
+        if v is None:
+            return t.truncs
+        return t.truncs[:axis] + (min(t.truncs[axis], trunc * v),)
+
+    t = t.truncate(box(max(s.trunc for s in series)))
+    zero = t._raw(t.vars, t.truncs, {}, 1)
+    powers = _powers(t, max((max(s.coeffs) for s in series if s.coeffs), default=0))
+    return [_combine_shifted(zero, 0, [(c, powers[d]) for d, c in s.coeffs.items()
+                                       if d < len(powers)], box(s.trunc), s.den)
+            for s in series]
 
 
 def _div_quadratic(s, k, c1, c2):
@@ -840,37 +862,25 @@ class TriSeries(_Series):
     # -- composition ------------------------------------------------------
 
     def subst_eta(self, t: "TriSeries"):
-        """Substitute t for the third variable.
+        """Substitute t for the third variable, on the meet of the two boxes.
 
-        Treats self as a polynomial in eta with (z, xi)-coefficients and
-        accumulates with forward powers of t; t must vanish at the origin.
+        Treats self as a polynomial in eta with (z, xi)-coefficients.  t
+        must be divisible by the third variable (DomainError otherwise),
+        so the terms of self past its box land past that meet.
         """
         if len(t.vars) != 3:
             raise StructureError("subst_eta target must be trivariate")
-        if not t.constant_term().is_zero():
-            raise DomainError("subst_eta: substitute must vanish at the origin")
-        te = self.truncs[2]
+        if any(not key & MASK for key in t.coeffs):
+            raise DomainError(f"subst_eta: substitute must be divisible by {t.vars[2]}")
+        truncs = tuple(map(min, self.truncs, t.truncs))
         buckets = {}
-        for key, v in self.coeffs.items():
+        for key, v in _cut(self.coeffs, truncs).items():
             j = key & MASK
             buckets.setdefault(j, {})[key - j] = v
-        truncs = tuple(min(a, b) for a, b in zip(self.truncs, t.truncs))
-        acc = TriSeries.zero(t.vars, truncs)
-        power = TriSeries.constant(1, t.vars, truncs)
-        for j in range(te):
-            if j:
-                power = power * t
-                if power.is_zero():
-                    break
-            bucket = buckets.get(j)
-            if bucket:
-                cj = TriSeries._raw(t.vars, truncs, dict(bucket), self.den)
-                acc = acc + cj * power
-        else:
-            if not (power * t).is_zero():
-                raise PrecisionError(
-                    "subst_eta: composition not determined at this truncation")
-        return acc
+        powers = _powers(t.truncate(truncs), max(buckets, default=0))
+        terms = [(1, TriSeries._raw(t.vars, truncs, cj, self.den) * powers[j])
+                 for j, cj in buckets.items() if j < len(powers)]
+        return _combine_shifted(TriSeries._raw(t.vars, truncs, {}, 1), 0, terms, truncs)
 
     # -- slices -------------------------------------------------------------
 

@@ -130,10 +130,23 @@ def test_cli_trunc_below_minimum_exits_2(tmp_path, capsys, monkeypatch):
     assert "SEGREODE_TRUNC must be at least 4" in capsys.readouterr().err
 
 
-def test_cli_dz_below_minimum_exits_2(tmp_path, capsys):
+def test_cli_segre_residual_on_an_ode_known_below_2m_exits_2(tmp_path, capsys):
+    # verify solves at eta-truncation 12, but the ODE is known modulo w^8 only
     ode = tmp_path / "ode.json"
     assert run_cli(["build", "--a", "1", "--b", "0,0,0,0,1", "--m", "4",
                     "--trunc", "8", "-o", str(ode)]) == 0
+    assert run_cli(["verify", "segre-residual", "--ode", str(ode)]) == 2
+    verify_err = capsys.readouterr().err
+    assert run_cli(["pipeline", "--a", "1", "--b", "0,0,0,0,1", "--m", "4",
+                    "--trunc", "8", "--out-dir", str(tmp_path / "pl")]) == 2
+    assert verify_err == capsys.readouterr().err
+    assert verify_err.count("\n") == 1 and "eta-truncation 8" in verify_err
+
+
+def test_cli_dz_below_minimum_exits_2(tmp_path, capsys):
+    ode = tmp_path / "ode.json"
+    assert run_cli(["build", "--a", "1", "--b", "0,0,0,0,1", "--m", "4",
+                    "--trunc", "12", "-o", str(ode)]) == 0
     residual = ["verify", "segre-residual", "--ode", str(ode)]
     pipeline = ["pipeline", "--a", "1", "--b", "0", "--m", "4", "--trunc", "8",
                 "--out-dir", str(tmp_path / "pl")]

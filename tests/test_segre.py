@@ -235,6 +235,28 @@ def test_solve_phi_truncation_honest(structure_samples):
             assert low.phi == high.phi.truncate((5, 5, 10)), (m, sign)
 
 
+def _odes_known_to(*truncs):
+    """One real-structure datum, built at each of the given truncations."""
+    a = {0: 1, 9: Fraction(1, 3), 10: 2}
+    b = {4: 1, 9: 5, 11: 1}
+    c = {1: 1, 10: 3}
+    return [build_real(RealStructureData(USeries("w", t, a), USeries("w", t, b),
+                                         USeries("w", t, c), 1)) for t in truncs]
+
+
+def test_solve_phi_eta_truncation_is_at_most_the_odes():
+    ode8, ode12 = _odes_known_to(8, 12)
+    for sign in (1, -1):
+        low = solve_phi(ode8, 1, sign, (5, 5, 12))
+        assert low.truncs == (5, 5, 8)
+        assert low.phi == solve_phi(ode12, 1, sign, (5, 5, 12)).phi.truncate((5, 5, 8))
+
+
+def test_reality_check_order_is_at_most_the_odes():
+    ode8, = _odes_known_to(8)
+    assert reality_check(ode8, 1, truncs=(5, 5, 12)).checked_order == 8
+
+
 def _report_from_full_box(ode, m, sign, truncs):
     """The reality report read off a solve on the whole box."""
     if sign == -1:
@@ -307,8 +329,11 @@ def test_dual_full_matches_full_box_iteration(structure_samples, truncs):
 def test_solve_phi_returns_a_full_box_fixed_point(structure_samples, truncs):
     """A Picard sweep on the full box leaves the returned phi unchanged."""
     zxi = TriSeries.monomial(1, 1, 0, 1, ("z", "xi", "eta"), truncs)
+    te = truncs[2]
     for data in structure_samples[:3]:
-        ode = build_real(data)
+        # the samples are polynomials: build them at the rung's eta-truncation
+        ode = build_real(RealStructureData(data.a.widen(te), data.b.widen(te),
+                                           data.c.widen(te), data.m))
         for sign in (1, -1):
             phi = solve_phi(ode, data.m, sign, truncs)
             assert phi.truncs == truncs

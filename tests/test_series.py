@@ -333,10 +333,14 @@ def test_invert_unit_is_inverse(t, c):
 
 
 @settings(max_examples=60, deadline=None)
-@given(useries(), useries(), useries(), gauss, gauss, st.integers(0, 3))
-def test_combine_shifted_matches_ring_ops(base, a, b, ca, cb, shift):
+@given(useries(), useries(), useries(), gauss, gauss, st.integers(0, 3),
+       triseries(), triseries(), triseries())
+def test_combine_shifted_matches_ring_ops(base, a, b, ca, cb, shift, tbase, ta, tb):
     want = (base + (a * ca + b * cb).shift_up(shift)).truncate(8)
     assert _combine_shifted(base, shift, [(ca, a), (cb, b)], 8) == want
+    # three variables take shift 0
+    want = (tbase + ta * ca + tb * cb).truncate((3, 4, 4))
+    assert _combine_shifted(tbase, 0, [(ca, ta), (cb, tb)], (3, 4, 4)) == want
 
 
 @settings(max_examples=60, deadline=None)
@@ -363,6 +367,28 @@ def naive_compose(s, t):
 def test_compose_against_power_sum(s, t):
     honest = t if t.is_zero() else t.truncate(s.trunc * t.order())
     assert s.eval_at(t) == naive_compose(s, honest)
+
+
+def test_trivariate_composition_is_exact_below_trunc_times_valuation():
+    s = USeries("w", 4, {0: 2, 1: GaussRational(1, 1), 2: Fraction(1, 3), 3: -5})
+    t = TriSeries(("z", "xi", "eta"), (4, 4, 9), {(0, 0, 2): 1, (1, 1, 2): 1})
+    out = s.eval_at(t)                       # w^4 and beyond start at eta^8
+    assert out.truncs == (4, 4, 8)
+    assert out == naive_compose(s, t).truncate((4, 4, 8))
+
+
+def test_composition_argument_must_be_divisible_by_the_composition_variable():
+    s = USeries("w", 4, {1: 1, 2: 1})
+    target = TriSeries(("z", "xi", "eta"), (3, 3, 4), {(0, 0, 1): 1, (1, 0, 0): 1})
+    mixed = TriSeries(("z", "xi", "eta"), (3, 3, 4), {(1, 0, 1): 1, (0, 1, 0): 1})
+    unit = TriSeries(("z", "xi", "eta"), (3, 3, 4), {(0, 0, 0): 1, (0, 0, 1): 1})
+    for t in (mixed, unit):                  # z*eta + xi, 1 + eta
+        with pytest.raises(DomainError):
+            s.eval_at(t)
+        with pytest.raises(DomainError):
+            target.subst_eta(t)
+    with pytest.raises(DomainError):
+        s.eval_at(one + w)
 
 
 @settings(max_examples=60, deadline=None)
