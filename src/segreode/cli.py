@@ -223,7 +223,8 @@ def verify_divergence(args):
         raise SegreOdeError(f"--table must be at least 0, got {args.table}")
     rep = divergence_report(_gamma(args), args.terms, args.onset)
     payload = {"a1": str(rep.coeffs[1]), "a2": str(rep.coeffs[2]),
-               "min_margin": str(rep.min_margin),
+               "min_margin_k": rep.min_margin_k,
+               "min_margin_at_least": str(rep.min_margin_at_least()),
                "table": [[k, v] for k, v in rep.table(args.table)]}
     if not rep.certificate_ok:
         payload["first_violation"] = rep.first_violation

@@ -13,8 +13,10 @@ conjugation (ghat = w conj(fhat) for real gamma); the recurrence and
 the divergence certificate run on Gaussian-integer numerators over one
 known denominator.  Poincare-Dulac serves the monodromy classification
 and the normal-form checks.  The companion of a gauge (f, g) is
-(g' / ((g/w)^m f), g) in closed form; only the pushforward inverts a
-gauge.
+(g' / ((g/w)^m f), g) in closed form, and the pushforward solves the
+chain rule on the w-side and reverts g alone, so nothing in the package
+inverts a gauge; ``ScalarGauge.inverse`` is kept as API and as the
+oracle the tests check both against.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ from .errors import DomainError, InternalInconsistencyError, StructureError
 from .odes import P0Ode
 from .scalars import GaussRational, gauss_sqrt_exact
 from .segre import RealStructureData, build_real
-from .series import (ULaurent, USeries, _combine_shifted, _div_quadratic,
-                     _scalar_triple)
+from .series import (ULaurent, USeries, _combine_shifted, _compose,
+                     _div_quadratic, _scalar_triple)
 
 
 class Mat2:
@@ -502,31 +504,50 @@ def transform_ode_by_gauge(ode: P0Ode, gauge: ScalarGauge, target: P0Ode = None,
 
     ``pullback``: ode lives in the image coordinates; the result is the
     ODE its solutions satisfy upstream.  ``pushforward`` transports the
-    ODE downstream (pullback along the inverse gauge).  With a target
-    supplied, coefficientwise residuals are attached.
+    ODE downstream.  With a target supplied, coefficientwise residuals
+    are attached.
+
+    Derivation: if Z(W) solves Z'' = P~ Z' + Q~ Z, then z = Z(g)/f
+    solves z'' = P z' + Q z with
+
+        P = g' (P~ o g) + g''/g' - 2 f'/f,
+        Q = g'^2 (Q~ o g) + g' (P~ o g) f'/f + (f'/f)(g''/g') - f''/f.
+
+    The pullback reads (P, Q) off (P~, Q~) = ode.  The pushforward
+    solves the same two equations on the w-side,
+
+        P~ o g = (P + 2 f'/f - g''/g') / g',
+        Q~ o g = (Q + f''/f - (f'/f)(g''/g') - g' (P~ o g) f'/f) / g'^2,
+
+    where g' (P~ o g) = P + 2 f'/f - g''/g' folds the numerator of
+    Q~ o g to Q + f''/f - (f'/f)(P + 2 f'/f).  It then composes both
+    with h = reversion(g) through one shared composition: one
+    reversion, and no f o h to invert.
     """
-    if direction == "pushforward":
-        return transform_ode_by_gauge(ode, gauge.inverse(), target, "pullback")
-    if direction != "pullback":
+    if direction not in ("pullback", "pushforward"):
         raise DomainError("direction must be 'pullback' or 'pushforward'")
     if not ode.is_linear():
         raise DomainError("gauge transport implemented for linear sextuples")
     f, g = gauge.f, gauge.g
     P, Q = ode.first_order_coeffs()
     fp = f.derivative()
-    fpp = fp.derivative()
     gp = g.derivative()
-    gpp = gp.derivative()
     finv = f.invert_unit()
     gpinv = gp.invert_unit()
-    Pg = _laurent_compose(P, g)
-    Qg = _laurent_compose(Q, g)
-    lf = ULaurent.from_series(fp * finv)         # f'/f
-    lg = ULaurent.from_series(gpp * gpinv)       # g''/g'
-    gpL = ULaurent.from_series(gp)
-    Pnew = lf * (-2) + lg + gpL * Pg
-    Qnew = (ULaurent.from_series(fpp * finv) * (-1) + lf * lg + gpL * Pg * lf
-            + gpL * gpL * Qg)
+    lf = ULaurent.from_series(fp * finv)                         # f'/f
+    lg = ULaurent.from_series(gp.derivative() * gpinv)           # g''/g'
+    lff = ULaurent.from_series(fp.derivative() * finv)           # f''/f
+    if direction == "pullback":
+        Pg, Qg = _compose_laurent((P, Q), g)
+        gpL = ULaurent.from_series(gp)
+        Pnew = lf * (-2) + lg + gpL * Pg
+        Qnew = lff * (-1) + lf * lg + gpL * Pg * lf + gpL * gpL * Qg
+    else:
+        gpinvL = ULaurent.from_series(gpinv)
+        P2lf = P + lf * 2
+        Pg = (P2lf - lg) * gpinvL
+        Qg = (Q + lff - lf * P2lf) * gpinvL * gpinvL
+        Pnew, Qnew = _compose_laurent((Pg, Qg), reversion(g))
     rP = rQ = None
     if target is not None:
         tP, tQ = target.first_order_coeffs()
@@ -535,10 +556,20 @@ def transform_ode_by_gauge(ode: P0Ode, gauge: ScalarGauge, target: P0Ode = None,
     return TransformedOde(Pnew, Qnew, rP, rQ)
 
 
-def _laurent_compose(L: ULaurent, g: USeries) -> ULaurent:
-    """L(g) for g = (unit) * w: body(g) divided by g^pole."""
-    body_at = L.body.eval_at(g)
-    return ULaurent.from_series(body_at) * ULaurent.from_series(g).pow_int(-L.pole)
+def _compose_laurent(laurents, g):
+    """[L(g) for L in laurents] for g = (unit) * w: body(g) / g^pole each.
+
+    The bodies share one composition (one power table of g); g is
+    inverted once as a Laurent series, and each distinct pole takes one
+    power of that inverse.
+    """
+    bodies = _compose([L.body for L in laurents], g)
+    poles = {L.pole for L in laurents if L.pole}
+    if poles:
+        ginv = ULaurent.from_series(g).invert()
+        scale = {p: ginv.pow_int(p) for p in poles}
+    return [ULaurent.from_series(b) * scale[L.pole] if L.pole else ULaurent.from_series(b)
+            for L, b in zip(laurents, bodies)]
 
 
 @dataclass(frozen=True)
@@ -573,9 +604,17 @@ class DivergenceReport:
     certificate_ok: bool
     first_violation: int
     min_margin: Fraction    # min of |a_{k+3}|^2 * 16 / (k^2 |a_k|^2), k >= onset
+    min_margin_k: int       # the least k where min_margin is reached; -1 if none
 
     def table(self, upto=12):
         return [(k, str(a)) for k, a in enumerate(self.coeffs[:upto])]
+
+    def min_margin_at_least(self):
+        """floor(min_margin * 2^32) / 2^32: an exact lower bound of the
+        least margin whose denominator divides 2^32, short enough to
+        print where min_margin itself has thousands of digits."""
+        m = self.min_margin
+        return Fraction((m.numerator << 32) // m.denominator, 1 << 32)
 
 
 def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
@@ -600,6 +639,9 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
 
     so "margin < 1" compares two integers, the minimum is found by
     cross-multiplication, and ``min_margin`` is one Fraction at the end.
+    Its numerator grows with the order (about 24,000 bits at 1,000
+    terms), so reports print ``min_margin_k`` and
+    ``min_margin_at_least()`` instead.
     """
     g = _as_gauss(gamma)
     if g.is_zero():
@@ -614,7 +656,7 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
     b, q = _formal_numerators(g, count + 1)
     norm2 = [x * x + y * y for x, y in b]
     q3 = q ** 3
-    first_violation = -1
+    first_violation = best_k = -1
     best = None                 # (numerator, denominator) of the least margin
     for k in range(k_onset, count - 2):
         if not norm2[k]:
@@ -622,12 +664,12 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
         num = norm2[k + 3]
         den = (2 * k * (k + 1) * (k + 2) * (k + 3) * q3) ** 2 * norm2[k]
         if best is None or num * best[1] < best[0] * den:
-            best = (num, den)
+            best, best_k = (num, den), k
         if num < den and first_violation < 0:
             first_violation = k
     return DivergenceReport(g, tuple(_coeffs_from_numerators(b, q)), k_onset,
                             first_violation < 0, first_violation,
-                            Fraction(*best) if best is not None else Fraction(0))
+                            Fraction(*best) if best is not None else Fraction(0), best_k)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ equation is never formed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainError
 from .scalars import GaussRational
@@ -35,6 +36,38 @@ class HyperJet:
             return False
         want = GaussRational(0, 1) * self.sign
         return self.rho.coeff(1, 1, self.m) == want
+
+    @cached_property
+    def tangency_context(self):
+        """The series every tangency check on this jet reads; built once."""
+        return _TangencyContext(self.rho)
+
+
+class _TangencyContext:
+    """The derivatives of rho, its powers and the products rho^j rho_z.
+
+    Powers and products are made when a field first needs them and kept
+    for the next field checked on the same jet.
+    """
+
+    __slots__ = ("rho", "rho_z", "rho_zb", "rho_wb", "powers", "powers_rho_z")
+
+    def __init__(self, rho):
+        self.rho = rho
+        self.rho_z, self.rho_zb, self.rho_wb = (rho.derivative(a) for a in range(3))
+        self.powers = _powers(rho, 1)
+        self.powers_rho_z = {0: self.rho_z}
+
+    def power(self, j):
+        """rho^j; the zero series once a power vanishes in the box."""
+        table = _powers(self.rho, j, self.powers)
+        return table[j] if j < len(table) else self.rho * 0
+
+    def power_rho_z(self, j):
+        """rho^j * rho_z."""
+        if j not in self.powers_rho_z:
+            self.powers_rho_z[j] = self.power(j) * self.rho_z
+        return self.powers_rho_z[j]
 
 
 def build_hypersurface(phi: AdmissiblePhi) -> HyperJet:
@@ -142,17 +175,6 @@ class BiPoly:
 
     __hash__ = None
 
-    def max_w_degree(self):
-        return max((j for _, j in self.coeffs), default=0)
-
-    def eval_series(self, zfac: TriSeries, wfac: TriSeries) -> TriSeries:
-        """Evaluate with z -> zfac, w -> wfac (TriSeries substitution)."""
-        wpow = _powers(wfac, self.max_w_degree())
-        terms = [(q, zfac.pow_int(i) * wpow[j])
-                 for (i, j), q in self.coeffs.items() if j < len(wpow)]
-        return _combine_shifted(TriSeries.zero(zfac.vars, zfac.truncs), 0, terms,
-                                zfac.truncs)
-
     def __repr__(self):
         if not self.coeffs:
             return "0"
@@ -204,26 +226,33 @@ def tangency_check(jet: HyperJet, X: HoloField) -> TangencyResult:
     """Real-part tangency of X along the hypersurface jet.
 
     Applies X + conj(X) to the complex defining function w - rho and
-    eliminates w through the graph itself; the restricted series must
-    vanish.  Linear over real scalars, and closed under commutators
+    eliminates w through the graph itself; the restricted series
+
+        fw(z, rho) - fz(z, rho) rho_z - conj(fz)(zbar, wbar) rho_zbar
+                   - conj(fw)(zbar, wbar) rho_wbar
+
+    must vanish.  Linear over real scalars, and closed under commutators
     (at two fewer orders), which the property tests exercise.
+
+    Every term is a monomial times a series of the jet's shared context
+    (``HyperJet.tangency_context``): z^i rho^j, z^i rho^j rho_z,
+    zbar^i wbar^j rho_zbar and zbar^i wbar^j rho_wbar.  The derivatives,
+    the powers of rho and the products rho^j rho_z are made once per
+    jet, so the fields checked on one jet share them, and the residual
+    is one linear combination of monomial shifts on the meet of the
+    three derivative boxes.
     """
-    rho = jet.rho
-    truncs = rho.truncs
-    z_fac = TriSeries.monomial(1, 0, 0, 1, HYPER_VARS, truncs)
-    zb_fac = TriSeries.monomial(0, 1, 0, 1, HYPER_VARS, truncs)
-    wb_fac = TriSeries.monomial(0, 0, 1, 1, HYPER_VARS, truncs)
-
-    rho_z = rho.derivative(0).truncate(truncs)
-    rho_zb = rho.derivative(1).truncate(truncs)
-    rho_wb = rho.derivative(2).truncate(truncs)
-
-    fz_on = X.fz.eval_series(z_fac, rho)
-    fw_on = X.fw.eval_series(z_fac, rho)
-    fzbar = X.fz.conjugate().eval_series(zb_fac, wb_fac)
-    fwbar = X.fw.conjugate().eval_series(zb_fac, wb_fac)
-
-    residual = fw_on - fz_on * rho_z - fzbar * rho_zb - fwbar * rho_wb
+    ctx = jet.tangency_context
+    tz, tx, te = jet.truncs
+    terms = []
+    for (i, j), q in X.fw.coeffs.items():
+        terms += [(q, ctx.power(j).mul_monomial(i, 0, 0)),
+                  (-q.conjugate(), ctx.rho_wb.mul_monomial(0, i, j))]
+    for (i, j), q in X.fz.coeffs.items():
+        terms += [(-q, ctx.power_rho_z(j).mul_monomial(i, 0, 0)),
+                  (-q.conjugate(), ctx.rho_zb.mul_monomial(0, i, j))]
+    box = (tz - 1, tx - 1, te - 1)
+    residual = _combine_shifted(TriSeries._raw(HYPER_VARS, box, {}, 1), 0, terms, box)
     return TangencyResult(residual.is_zero(), residual)
 
 

@@ -297,16 +297,20 @@ def reality_check(ode: P0Ode, m: int, sign: int = 1,
     dual one, which for admissible families reduces to the four slice
     identities; mismatching slices are reported with their first failing
     degree in the coefficient variable.  Only the slices (k, l) <= (3, 3)
-    are read, so phi is solved on the box (min(tz, 4), min(tx, 4), te):
+    are read, so phi is solved on the box (4, 4, te):
     the solve is truncation-honest, so the report, checked_order
-    included, is the one a solve on the full box would give.  For
-    tz > 2, checked_order is at most the ODE's truncation, as the
-    solve's eta-truncation is.
+    included, is the one a solve on the full box would give, and
+    checked_order is at most the ODE's truncation, as the solve's
+    eta-truncation is.  A box with tz or tx below 4 does not hold the
+    slices it reads and raises PrecisionError.
     """
+    tz, tx, te = truncs
+    if min(tz, tx) < 4:
+        raise PrecisionError(f"reality check reads the slices (k, l) <= (3, 3);"
+                             f" the box {tuple(truncs)} does not hold them")
     if sign == -1:
         return reality_check(ode.conjugate(), m, 1, truncs)
-    tz, tx, te = truncs
-    phi = solve_phi(ode, m, 1, (min(tz, 4), min(tx, 4), te))
+    phi = solve_phi(ode, m, 1, (4, 4, te))
     dual = dual_phi_lowjet(phi)
     mism = []
     checked = None

@@ -526,10 +526,15 @@ def _combine_shifted(base, shift, terms, trunc, den=None):
     return base._raw(base.vars, box, out, den)
 
 
-def _powers(t, top):
-    """[1, t, t**2, ...] up to t**top, cut before the first power that vanishes."""
-    table = [t.ring_one()]
-    for _ in range(top):
+def _powers(t, top, table=None):
+    """[1, t, t**2, ...] up to t**top, cut before the first power that vanishes.
+
+    Given ``table``, a list that an earlier call returned for the same t,
+    extends it in place and returns it.
+    """
+    if table is None:
+        table = [t.ring_one()]
+    while len(table) <= top:
         power = t if len(table) == 1 else table[-1] * t
         if power.is_zero():
             break

@@ -417,22 +417,23 @@ def _coeffs_by_gauss_recurrence(gamma, count):
 
 
 def _divergence_by_gauss_recurrence(gamma, count, k_onset):
-    """(coeffs, ok, first violation, least margin) with rational margins."""
+    """(coeffs, ok, first violation, least margin, its least k) with
+    rational margins."""
     a = _coeffs_by_gauss_recurrence(gamma, count + 1)
-    ok, first_violation, min_margin = True, -1, None
+    ok, first_violation, min_margin, min_k = True, -1, None, -1
     for k in range(k_onset, count - 2):
         ak2 = a[k].abs2()
         if not ak2:
             continue
         margin = a[k + 3].abs2() * 16 / (ak2 * k * k)
         if min_margin is None or margin < min_margin:
-            min_margin = margin
+            min_margin, min_k = margin, k
         if margin < 1:
             ok = False
             if first_violation < 0:
                 first_violation = k
     return tuple(a), ok, first_violation, \
-        min_margin if min_margin is not None else Fraction(0)
+        min_margin if min_margin is not None else Fraction(0), min_k
 
 
 @pytest.mark.parametrize("gamma", ORACLE_GAMMAS, ids=str)
@@ -446,7 +447,8 @@ def test_formal_solution_coeffs_match_the_gauss_recurrence(gamma):
 def test_divergence_report_matches_the_rational_margins(gamma):
     for count, k_onset in ((60, 10), (200, 10), (12, 1), (40, 37)):
         rep = divergence_report(gamma, count, k_onset)
-        got = (rep.coeffs, rep.certificate_ok, rep.first_violation, rep.min_margin)
+        got = (rep.coeffs, rep.certificate_ok, rep.first_violation, rep.min_margin,
+               rep.min_margin_k)
         assert got == _divergence_by_gauss_recurrence(gamma, count, k_onset), \
             (count, k_onset)
         assert type(rep.min_margin) is Fraction
@@ -555,3 +557,111 @@ def test_companion_of_family_gauge_matches_inversion_oracle(gamma, order):
     Gc = _assert_companion_matches_oracle(F, 4)
     assert (Gc.f.trunc, Gc.g.trunc) == (F.f.trunc, F.g.trunc) == (order, order + 1)
     assert Gc.f.equal_mod(F.f.conjugate()) and Gc.g.equal_mod(F.g.conjugate())
+
+
+# -- transport oracles ---------------------------------------------------------
+
+def _pushforward_by_inversion(ode, F, target):
+    """The pushforward as a pullback along the inverted gauge."""
+    return transform_ode_by_gauge(ode, F.inverse(), target, "pullback")
+
+
+def _laurent_at(L, g):
+    return ULaurent.from_series(L.body.eval_at(g)) * ULaurent.from_series(g).pow_int(-L.pole)
+
+
+def _pullback_by_two_compositions(ode, F, target):
+    """The pullback with P and Q composed with g one at a time."""
+    f, g = F.f, F.g
+    P, Q = ode.first_order_coeffs()
+    fp, gp = f.derivative(), g.derivative()
+    finv, gpinv = f.invert_unit(), gp.invert_unit()
+    Pg, Qg = _laurent_at(P, g), _laurent_at(Q, g)
+    lf = ULaurent.from_series(fp * finv)
+    lg = ULaurent.from_series(gp.derivative() * gpinv)
+    gpL = ULaurent.from_series(gp)
+    Pnew = lf * (-2) + lg + gpL * Pg
+    Qnew = (ULaurent.from_series(fp.derivative() * finv) * (-1) + lf * lg
+            + gpL * Pg * lf + gpL * gpL * Qg)
+    if target is None:
+        return gauge_mod.TransformedOde(Pnew, Qnew)
+    tP, tQ = target.first_order_coeffs()
+    return gauge_mod.TransformedOde(Pnew, Qnew, Pnew - tP, Qnew - tQ)
+
+
+def _parts(moved):
+    return (moved.P, moved.Q, moved.residual_P, moved.residual_Q)
+
+
+def _assert_same_transport(got, want):
+    """Equal Laurent data, pole and truncation included."""
+    for a, b in zip(_parts(got), _parts(want)):
+        assert a == b and (a is None or a.trunc_abs() == b.trunc_abs())
+
+
+@pytest.mark.parametrize("order", [8, 16, 48])
+@pytest.mark.parametrize("gamma", [1, -2, Fraction(1, 2), Fraction(-2, 3), 0, 5])
+def test_transport_along_family_gauge_matches_oracles(gamma, order):
+    F = gauge_chi_tau(*formal_fundamental(gamma, order))
+    target = linear_family(gamma, trunc=order + 4)
+    base = linear_family(0, trunc=order + 4)
+    for ode, other in ((target, base), (base, target)):
+        for tgt in (other, None):
+            _assert_same_transport(transform_ode_by_gauge(ode, F, tgt, "pushforward"),
+                                   _pushforward_by_inversion(ode, F, tgt))
+            _assert_same_transport(transform_ode_by_gauge(ode, F, tgt),
+                                   _pullback_by_two_compositions(ode, F, tgt))
+    pushed = transform_ode_by_gauge(target, F, base, "pushforward")
+    assert pushed.matches_target()
+
+
+def test_transport_along_random_gauges_matches_oracles():
+    # the recipe of test_companion_gauge_random, on a generator of its own,
+    # with f and g scaled so that f(0) != 1 and g'(0) != 1
+    rng = random.Random(SEED)
+    for trial in range(10):
+        m = rng.choice((1, 2, 3, 4))
+        f = USeries("w", 14, {0: 1, **{d: rnd_fraction(rng) for d in (1, 2, 4)}})
+        g = USeries("w", 14, {1: 1, **{d: rnd_fraction(rng)
+                                       for d in (m + 1, m + 2)}})
+        F = ScalarGauge(f * Fraction(rng.choice((-1, 2, 3)), rng.choice((1, 5))),
+                        g * Fraction(rng.choice((-2, 1, 3)), rng.choice((2, 7))))
+        assert F.f.constant_term() != ONE and F.g.coeff(1) != ONE
+        gamma = rnd_fraction(rng)
+        odes = (linear_family(gamma, trunc=14), linear_family(0, trunc=14))
+        # the gauge is polynomial, so a wider box gives the exact reference
+        wide = ScalarGauge(F.f.widen(30), F.g.widen(30))
+        wide_odes = (linear_family(gamma, trunc=30), linear_family(0, trunc=30))
+        for (ode, other), wide_ode in zip((odes, odes[::-1]), wide_odes):
+            _assert_same_transport(transform_ode_by_gauge(ode, F, other),
+                                   _pullback_by_two_compositions(ode, F, other))
+            got = transform_ode_by_gauge(ode, F, other, "pushforward")
+            want = _pushforward_by_inversion(ode, F, other)
+            exact = transform_ode_by_gauge(wide_ode, wide, None, "pushforward")
+            # where a cancellation lowers a pole before the composition
+            # with g^-1 rather than after it, the chain rule on the w-side
+            # keeps more coefficients than the route through the inverse
+            for a, b in zip(_parts(got), _parts(want)):
+                assert a.trunc_abs() >= b.trunc_abs()
+                assert (a - b).truncate_abs(b.trunc_abs()).is_zero()
+            for a, b in zip((got.P, got.Q), (exact.P, exact.Q)):
+                assert (a - b).truncate_abs(a.trunc_abs()).is_zero()
+
+
+def test_pushforward_undoes_pullback():
+    F = ScalarGauge(USeries("w", 30, {0: 2, 1: Fraction(1, 3), 3: -1}),
+                    USeries("w", 30, {1: Fraction(-1, 2), 2: 1, 4: Fraction(2, 5)}))
+    ode = linear_family(Fraction(3, 2), trunc=30)
+    pulled = transform_ode_by_gauge(ode, F)
+    back = transform_ode_by_gauge(_as_linear_ode(pulled, 30), F, direction="pushforward")
+    P, Q = ode.first_order_coeffs()
+    n = min(back.P.trunc_abs(), back.Q.trunc_abs())
+    assert n >= 8
+    assert (back.P - P).truncate_abs(n).is_zero()
+    assert (back.Q - Q).truncate_abs(n).is_zero()
+
+
+def test_transport_rejects_unknown_direction():
+    ode = linear_family(1, trunc=16)
+    with pytest.raises(DomainError):
+        transform_ode_by_gauge(ode, ScalarGauge.identity("w", 16), direction="sideways")

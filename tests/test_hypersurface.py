@@ -2,12 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from segreode.hypersurface import (BiPoly, HoloField, build_hypersurface,
-                                   reality_verify, sphere_pushforward_fields,
-                                   tangency_check)
+from segreode.hypersurface import (HYPER_VARS, BiPoly, HoloField, TangencyResult,
+                                   build_hypersurface, reality_verify,
+                                   sphere_pushforward_fields, tangency_check)
 from segreode.scalars import GaussRational
 from segreode.segre import AdmissiblePhi, RealStructureData, build_real, solve_phi
-from segreode.series import TriSeries, USeries
+from segreode.series import TriSeries, USeries, _combine_shifted, _powers
 
 G = GaussRational
 
@@ -102,3 +102,92 @@ def test_rotation_field_on_diagonal_families(structure_samples):
     jet = build_hypersurface(phi)
     X1 = sphere_pushforward_fields()[0]
     assert tangency_check(jet, X1).ok
+
+
+# -- the shared jet context against the per-field computation ---------------
+
+def _eval_bipoly(p, zfac, wfac):
+    """p(zfac, wfac) by products of powers."""
+    wpow = _powers(wfac, max((j for _, j in p.coeffs), default=0))
+    terms = [(q, zfac.pow_int(i) * wpow[j]) for (i, j), q in p.coeffs.items()
+             if j < len(wpow)]
+    return _combine_shifted(TriSeries.zero(zfac.vars, zfac.truncs), 0, terms,
+                            zfac.truncs)
+
+
+def _tangency_per_field(jet, X):
+    """Tangency with every series rebuilt for the one field."""
+    rho = jet.rho
+    truncs = rho.truncs
+    z_fac = TriSeries.monomial(1, 0, 0, 1, HYPER_VARS, truncs)
+    zb_fac = TriSeries.monomial(0, 1, 0, 1, HYPER_VARS, truncs)
+    wb_fac = TriSeries.monomial(0, 0, 1, 1, HYPER_VARS, truncs)
+    rho_z = rho.derivative(0).truncate(truncs)
+    rho_zb = rho.derivative(1).truncate(truncs)
+    rho_wb = rho.derivative(2).truncate(truncs)
+    fz_on = _eval_bipoly(X.fz, z_fac, rho)
+    fw_on = _eval_bipoly(X.fw, z_fac, rho)
+    fzbar = _eval_bipoly(X.fz.conjugate(), zb_fac, wb_fac)
+    fwbar = _eval_bipoly(X.fw.conjugate(), zb_fac, wb_fac)
+    residual = fw_on - fz_on * rho_z - fzbar * rho_zb - fwbar * rho_wb
+    return TangencyResult(residual.is_zero(), residual)
+
+
+def _test_fields():
+    # the custom field has fz of w-degree 1 and 3 (rho^j rho_z) and an fw
+    # term of w-degree 5, past the powers the model fields need
+    custom = HoloField(BiPoly({(0, 1): G(0, 1), (1, 3): G(Fraction(1, 2), -1)}),
+                       BiPoly({(0, 5): G(3), (2, 1): G(0, Fraction(-2, 3))}))
+    return [*sphere_pushforward_fields(), HoloField(BiPoly({(0, 0): 1}), BiPoly()),
+            custom]
+
+
+def _same_result(got, want):
+    return (got.ok == want.ok and got.residual == want.residual
+            and got.residual.truncs == want.residual.truncs
+            and repr(got.residual) == repr(want.residual))
+
+
+def _context_phis(structure_samples, truncs):
+    """The order-four model (gamma = 1) and three dense data, solved on truncs."""
+    model = RealStructureData(a=USeries.constant(1, trunc=truncs[2]),
+                              b=USeries.monomial(4, 1, trunc=truncs[2]),
+                              c=USeries.zero(trunc=truncs[2]), m=4)
+    return [solve_phi(build_real(d), d.m, 1, truncs=truncs)
+            for d in [model, *structure_samples[:3]]]
+
+
+@pytest.mark.parametrize("truncs", [(5, 5, 12), (7, 7, 14)])
+def test_tangency_context_matches_per_field(structure_samples, truncs):
+    fields = _test_fields()
+    verdicts = []
+    for phi in _context_phis(structure_samples, truncs):
+        jet = build_hypersurface(phi)
+        for X in fields:
+            got = tangency_check(jet, X)
+            assert _same_result(got, _tangency_per_field(jet, X))
+            assert got.residual.truncs == tuple(t - 1 for t in jet.truncs)
+            verdicts.append(got.ok)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_tangency_context_order_independent(structure_samples):
+    fields = _test_fields()
+    for phi in _context_phis(structure_samples, (5, 5, 12))[:2]:
+        jet, other = build_hypersurface(phi), build_hypersurface(phi)
+        want = [_tangency_per_field(jet, X) for X in fields]
+        runs = [[tangency_check(jet, X) for X in fields],
+                [tangency_check(jet, X) for X in fields],
+                [tangency_check(other, X) for X in reversed(fields)][::-1]]
+        for run in runs:
+            assert all(_same_result(g, w) for g, w in zip(run, want))
+
+
+def test_tangency_context_past_a_vanishing_power():
+    # at eta-truncation 4, rho^4 vanishes in the box, so the w-degree 4
+    # and 5 terms of the fields read zero
+    for truncs, kept in (((4, 4, 4), 4), ((5, 5, 6), 6)):
+        jet = build_hypersurface(flat_phi(1, truncs))
+        for X in _test_fields():
+            assert _same_result(tangency_check(jet, X), _tangency_per_field(jet, X))
+        assert len(jet.tangency_context.powers) == kept     # 1, rho, ..., rho^(kept-1)

@@ -1,5 +1,6 @@
 import json
 import os
+from fractions import Fraction
 import shlex
 import subprocess
 import sys
@@ -13,7 +14,7 @@ from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
                          triseries_to_json, ulaurent_from_json,
                          ulaurent_to_json, useries_from_json, useries_to_json)
 from segreode.errors import DomainError, StructureError
-from segreode.gauge import linear_family
+from segreode.gauge import divergence_report, linear_family
 from segreode.odes import P0Ode
 from segreode.scalars import GaussRational
 from segreode.segre import build_real, reality_check, solve_phi
@@ -260,6 +261,22 @@ def test_cli_divergence_and_monodromy(capsys):
     assert run_cli(["verify", "monodromy", "--gamma", "5"]) == 0
     assert run_cli(["verify", "divergence", "--gamma", "0"]) == 2
     capsys.readouterr()
+
+
+def test_cli_divergence_long_run_reports_a_compact_margin(capsys):
+    # at 1,000 terms the exact least margin has a 23,812-bit numerator,
+    # past the length Python prints as a decimal
+    assert run_cli(["verify", "divergence", "--gamma", "1", "-K", "1000"]) == 0
+    captured = capsys.readouterr()
+    assert "[PASS]" in captured.out and "Traceback" not in captured.err
+    assert run_cli(["verify", "divergence", "--gamma", "1", "-K", "1000", "--json"]) == 0
+    witness = json.loads(json.loads(capsys.readouterr().out)[0]["witness"])
+    assert "min_margin" not in witness
+    lower = Fraction(witness["min_margin_at_least"])
+    assert lower.denominator <= 2 ** 32 and lower >= 1
+    rep = divergence_report(1, 1000)
+    assert witness["min_margin_k"] == rep.min_margin_k
+    assert 0 <= rep.min_margin - lower < Fraction(1, 2 ** 32)
 
 
 def test_cli_gauge_rejects_undecidable_order(capsys):

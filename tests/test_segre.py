@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from segreode.errors import DomainError, InternalInconsistencyError
+from segreode.errors import DomainError, InternalInconsistencyError, PrecisionError
 from segreode.odes import P0Ode, validate_p0
 from segreode.scalars import GaussRational, I
 from segreode.segre import (AdmissiblePhi, RealityReport, RealStructureData,
@@ -188,6 +188,23 @@ def test_extract_real_roundtrip(structure_samples):
         assert got.a.equal_mod(data.a)
         assert got.b.equal_mod(data.b)
         assert got.c.equal_mod(data.c)
+
+
+def test_reality_check_refuses_boxes_without_its_slices():
+    # slices outside the box read as zero, so (3, 3, 12) and (2, 2, 12)
+    # would confirm a structure that (5, 5, 12) refutes
+    data = RealStructureData(a=USeries.constant(1, trunc=12),
+                             b=USeries.monomial(4, 1, trunc=12),
+                             c=USeries.monomial(1, 1, trunc=12), m=1)
+    pert = _imaginary_perturbation(build_real(data))
+    rep = reality_check(pert, 1, truncs=(5, 5, 12))
+    assert not rep.ok
+    assert {(2, 3), (3, 2), (3, 3)} <= {m.slice for m in rep.mismatches}
+    for truncs in ((3, 3, 12), (2, 2, 12), (3, 5, 12), (5, 3, 12)):
+        for sign in (1, -1):
+            with pytest.raises(PrecisionError):
+                reality_check(pert, 1, sign, truncs=truncs)
+    assert reality_check(build_real(data), 1, truncs=(4, 4, 12)).ok
 
 
 def test_extract_real_detects_imaginary_gamma():
