@@ -222,10 +222,16 @@ def verify_divergence(args):
     if args.table < 0:
         raise SegreOdeError(f"--table must be at least 0, got {args.table}")
     rep = divergence_report(_gamma(args), args.terms, args.onset)
+    try:
+        table = [[k, v] for k, v in rep.table(args.table)]
+    except ValueError:      # a coefficient past the interpreter's int-to-str limit
+        raise SegreOdeError(f"--table {args.table}: a coefficient has more than"
+                            f" {sys.get_int_max_str_digits()} digits, more than Python"
+                            " converts to text; lower --table") from None
     payload = {"a1": str(rep.coeffs[1]), "a2": str(rep.coeffs[2]),
                "min_margin_k": rep.min_margin_k,
                "min_margin_at_least": str(rep.min_margin_at_least()),
-               "table": [[k, v] for k, v in rep.table(args.table)]}
+               "table": table}
     if not rep.certificate_ok:
         payload["first_violation"] = rep.first_violation
     return [Report("formal-solution-superlinear-growth",

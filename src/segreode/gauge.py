@@ -404,20 +404,6 @@ class ScalarGauge:
     def var(self):
         return self.g.var
 
-    def normalized_class_order(self):
-        """Largest m with f(0) = 1 and g = w + O(w^(m+1)); None otherwise."""
-        if self.f.constant_term() != GaussRational(1):
-            return None
-        dev = self.g - USeries.monomial(1, 1, self.var, self.g.trunc)
-        o = dev.order()
-        if self.g.coeff(1) != GaussRational(1):
-            return None
-        return (self.g.trunc if o is None else o) - 1
-
-    def is_identity(self):
-        return (self.f - 1).is_zero() and \
-            (self.g - USeries.monomial(1, 1, self.var, self.g.trunc)).is_zero()
-
     def compose(self, inner: "ScalarGauge") -> "ScalarGauge":
         """self after inner: (z, w) -> self(inner(z, w))."""
         return ScalarGauge(inner.f * self.f.eval_at(inner.g),
@@ -534,16 +520,16 @@ def transform_ode_by_gauge(ode: P0Ode, gauge: ScalarGauge, target: P0Ode = None,
     gp = g.derivative()
     finv = f.invert_unit()
     gpinv = gp.invert_unit()
-    lf = ULaurent.from_series(fp * finv)                         # f'/f
-    lg = ULaurent.from_series(gp.derivative() * gpinv)           # g''/g'
-    lff = ULaurent.from_series(fp.derivative() * finv)           # f''/f
+    lf = ULaurent(fp * finv)                     # f'/f
+    lg = ULaurent(gp.derivative() * gpinv)       # g''/g'
+    lff = ULaurent(fp.derivative() * finv)       # f''/f
     if direction == "pullback":
         Pg, Qg = _compose_laurent((P, Q), g)
-        gpL = ULaurent.from_series(gp)
+        gpL = ULaurent(gp)
         Pnew = lf * (-2) + lg + gpL * Pg
         Qnew = lff * (-1) + lf * lg + gpL * Pg * lf + gpL * gpL * Qg
     else:
-        gpinvL = ULaurent.from_series(gpinv)
+        gpinvL = ULaurent(gpinv)
         P2lf = P + lf * 2
         Pg = (P2lf - lg) * gpinvL
         Qg = (Q + lff - lf * P2lf) * gpinvL * gpinvL
@@ -566,9 +552,9 @@ def _compose_laurent(laurents, g):
     bodies = _compose([L.body for L in laurents], g)
     poles = {L.pole for L in laurents if L.pole}
     if poles:
-        ginv = ULaurent.from_series(g).invert()
+        ginv = ULaurent(g).invert()
         scale = {p: ginv.pow_int(p) for p in poles}
-    return [ULaurent.from_series(b) * scale[L.pole] if L.pole else ULaurent.from_series(b)
+    return [ULaurent(b) * scale[L.pole] if L.pole else ULaurent(b)
             for L, b in zip(laurents, bodies)]
 
 

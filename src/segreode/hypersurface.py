@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import DomainError
+from .odes import Poly2
 from .scalars import GaussRational
 from .segre import AdmissiblePhi
 from .series import TriSeries, _combine_shifted, _powers, unpack
@@ -122,86 +123,21 @@ def reality_verify(jet: HyperJet) -> RealityResult:
                          composed.truncs)
 
 
-class BiPoly:
-    """Polynomial in (z, w) with Gaussian-rational coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, terms=None):
-        self.coeffs = {}
-        for (i, j), q in (terms or {}).items():
-            q = GaussRational(0) + q
-            if not q.is_zero():
-                self.coeffs[(i, j)] = q
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for k, v in other.coeffs.items():
-            s = out.get(k, GaussRational(0)) + v
-            if s.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = s
-        return BiPoly(out)
-
-    def __sub__(self, other):
-        return self + other.scale(GaussRational(-1))
-
-    def scale(self, q):
-        return BiPoly({k: v * q for k, v in self.coeffs.items()})
-
-    def __mul__(self, other):
-        out = {}
-        for (i1, j1), v1 in self.coeffs.items():
-            for (i2, j2), v2 in other.coeffs.items():
-                k = (i1 + i2, j1 + j2)
-                out[k] = out.get(k, GaussRational(0)) + v1 * v2
-        return BiPoly(out)
-
-    def d_z(self):
-        return BiPoly({(i - 1, j): v * i for (i, j), v in self.coeffs.items() if i})
-
-    def d_w(self):
-        return BiPoly({(i, j - 1): v * j for (i, j), v in self.coeffs.items() if j})
-
-    def conjugate(self):
-        return BiPoly({k: v.conjugate() for k, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __eq__(self, other):
-        return isinstance(other, BiPoly) and self.coeffs == other.coeffs
-
-    __hash__ = None
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for (i, j), q in sorted(self.coeffs.items()):
-            mono = "*".join(s for s in
-                            ("z" if i == 1 else f"z^{i}" if i else "",
-                             "w" if j == 1 else f"w^{j}" if j else "") if s)
-            bits.append(q.as_factor_str() + ("*" + mono if mono else ""))
-        return " + ".join(bits)
-
-
 @dataclass(frozen=True)
 class HoloField:
-    """Holomorphic vector field fz d/dz + fw d/dw with polynomial parts."""
+    """Holomorphic vector field fz d/dz + fw d/dw, fz and fw polynomials in (z, w)."""
 
-    fz: BiPoly
-    fw: BiPoly
+    fz: Poly2
+    fw: Poly2
 
     def __add__(self, other):
         return HoloField(self.fz + other.fz, self.fw + other.fw)
 
     def scale(self, q):
-        return HoloField(self.fz.scale(q), self.fw.scale(q))
+        return HoloField(self.fz * q, self.fw * q)
 
-    def apply(self, h: BiPoly) -> BiPoly:
-        return self.fz * h.d_z() + self.fw * h.d_w()
+    def apply(self, h: Poly2) -> Poly2:
+        return self.fz * h.derivative(0) + self.fw * h.derivative(1)
 
     def commutator(self, other: "HoloField") -> "HoloField":
         return HoloField(self.apply(other.fz) - other.apply(self.fz),
@@ -267,10 +203,10 @@ def sphere_pushforward_fields():
     the exponential coordinate.
     """
     i1 = GaussRational(0, 1)
-    X1 = HoloField(BiPoly({(1, 0): i1}), BiPoly())
-    X2 = HoloField(BiPoly(), BiPoly({(0, 4): GaussRational(2)}))
-    X5 = HoloField(BiPoly({(0, 0): GaussRational(1), (2, 0): GaussRational(-2)}),
-                   BiPoly({(1, 4): i1}))
-    X6 = HoloField(BiPoly({(0, 0): i1, (2, 0): GaussRational(0, 2)}),
-                   BiPoly({(1, 4): GaussRational(1)}))
+    X1 = HoloField(Poly2({(1, 0): i1}), Poly2())
+    X2 = HoloField(Poly2(), Poly2({(0, 4): GaussRational(2)}))
+    X5 = HoloField(Poly2({(0, 0): GaussRational(1), (2, 0): GaussRational(-2)}),
+                   Poly2({(1, 4): i1}))
+    X6 = HoloField(Poly2({(0, 0): i1, (2, 0): GaussRational(0, 2)}),
+                   Poly2({(1, 4): GaussRational(1)}))
     return X1, X2, X5, X6

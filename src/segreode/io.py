@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, StructureError
-from .odes import COEFF_NAMES, P0Ode
+from .odes import COEFF_NAMES, P0Ode, Poly2
 from .scalars import GaussRational, parse_gauss
 from .segre import AdmissiblePhi
 from .series import TriSeries, ULaurent, USeries
@@ -56,31 +56,10 @@ def ulaurent_to_json(s: ULaurent):
             "terms": [{"deg": d, "coeff": gauss_to_json(q)} for d, q in s.terms()]}
 
 
-def ulaurent_from_json(obj) -> ULaurent:
-    try:
-        pole = int(obj.get("pole", 0))
-        terms = {int(t["deg"]) + pole: gauss_from_json(t["coeff"])
-                 for t in obj["terms"]}
-        body = USeries(obj["var"], int(obj["trunc"]) + pole, terms)
-        return ULaurent(body, pole)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"bad Laurent record: {exc}") from exc
-
-
 def triseries_to_json(s: TriSeries):
     return {"vars": list(s.vars), "trunc": list(s.truncs),
             "terms": [{"deg": list(deg), "coeff": gauss_to_json(q)}
                       for deg, q in s.terms()]}
-
-
-def triseries_from_json(obj) -> TriSeries:
-    try:
-        terms = {tuple(int(x) for x in t["deg"]): gauss_from_json(t["coeff"])
-                 for t in obj["terms"]}
-        return TriSeries(tuple(obj["vars"]), tuple(int(x) for x in obj["trunc"]),
-                         terms)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"bad trivariate series record: {exc}") from exc
 
 
 # -- domain objects ------------------------------------------------------
@@ -142,10 +121,9 @@ def bipoly_to_json(p):
 
 
 def bipoly_from_json(obj):
-    from .hypersurface import BiPoly
     try:
-        return BiPoly({tuple(int(x) for x in t["deg"]): gauss_from_json(t["coeff"])
-                       for t in obj["terms"]})
+        return Poly2({tuple(int(x) for x in t["deg"]): gauss_from_json(t["coeff"])
+                      for t in obj["terms"]})
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"bad bivariate polynomial record: {exc}") from exc
 
@@ -161,22 +139,6 @@ def field_from_json(obj):
         return HoloField(bipoly_from_json(obj["fz"]), bipoly_from_json(obj["fw"]))
     except KeyError as exc:
         raise StructureError(f"bad field record: {exc}") from exc
-
-
-def linsystem_to_json(sys_):
-    return {"format": FORMAT_VERSION, "pole": sys_.pole,
-            "A": [[useries_to_json(sys_.A[i, j]) for j in range(2)]
-                  for i in range(2)]}
-
-
-def linsystem_from_json(obj):
-    from .gauge import LinSystem, Mat2
-    try:
-        rows = tuple(tuple(useries_from_json(obj["A"][i][j]) for j in range(2))
-                     for i in range(2))
-        return LinSystem(int(obj["pole"]), Mat2(rows))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StructureError(f"bad linear-system record: {exc}") from exc
 
 
 # -- reports -------------------------------------------------------------

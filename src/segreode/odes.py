@@ -16,10 +16,8 @@ singular fiber w = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError, StructureError
-from .scalars import GaussRational
 from .series import ULaurent
 
 COEFF_NAMES = ("A", "B", "C", "D", "E", "F")
@@ -116,38 +114,7 @@ class P0Ode:
             (1, 0): ULaurent(self.E, 2 * m),
             (0, 0): ULaurent(self.F, 2 * m),
         }
-        return Poly2({k: v for k, v in terms.items() if not v.is_zero()},
-                     var=self.var, trunc_hint=self.trunc)
-
-
-@dataclass(frozen=True)
-class GeneralP0:
-    """General meromorphic-coefficient form: p0, p1, q0..q3."""
-
-    p0: ULaurent
-    p1: ULaurent
-    q0: ULaurent
-    q1: ULaurent
-    q2: ULaurent
-    q3: ULaurent
-
-    def validate(self):
-        """Check q3 = -p1^2/9 and q2 = (p1' - p0 p1)/3 modulo truncation."""
-        out = []
-        r1 = self.q3 + self.p1 * self.p1 * Fraction(1, 9)
-        if not r1.is_zero():
-            out.append(RelationViolation("q3 = -p1^2/9", r1.order()))
-        r2 = self.q2 - (self.p1.derivative() - self.p0 * self.p1) * Fraction(1, 3)
-        if not r2.is_zero():
-            out.append(RelationViolation("q2 = (p1' - p0 p1)/3", r2.order()))
-        return out
-
-    @classmethod
-    def from_p0ode(cls, ode: P0Ode):
-        m = ode.m
-        return cls(p0=ULaurent(ode.B, m), p1=ULaurent(ode.A, m),
-                   q0=ULaurent(ode.F, 2 * m), q1=ULaurent(ode.E, 2 * m),
-                   q2=ULaurent(ode.D, 2 * m), q3=ULaurent(ode.C, 2 * m))
+        return Poly2(terms)
 
 
 def validate_p0(ode: P0Ode):
@@ -199,40 +166,43 @@ def singularity_order(m, A, B, C, D, E, F):
 
 
 class Poly2:
-    """Polynomial in (y, y1) with ULaurent coefficients in the base variable.
+    """Sparse polynomial in two variables, keyed by exponent pairs (i, j).
 
-    Carries the jet-space algebra needed by the Tresse semi-invariants:
-    partial derivatives in y and y1, the total derivative along the ODE
-    flow, and ring operations.
+    Generic over its coefficients: anything with ``+``, ``*`` and
+    ``is_zero``.  The Tresse semi-invariants use it in (y, y1) over
+    ``ULaurent``; the holomorphic fields of ``hypersurface`` use it in
+    (z, w) over ``GaussRational``.  Zero coefficients are dropped, so
+    the zero polynomial has no terms.
     """
 
-    __slots__ = ("coeffs", "var", "trunc_hint")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs=None, var="w", trunc_hint=16):
+    def __init__(self, coeffs=None):
         self.coeffs = {k: v for k, v in (coeffs or {}).items() if not v.is_zero()}
-        self.var = var
-        self.trunc_hint = trunc_hint
-
-    def _zero(self):
-        return ULaurent.zero(self.var, self.trunc_hint)
 
     def is_zero(self):
         return not self.coeffs
+
+    def __eq__(self, other):
+        if not isinstance(other, Poly2):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    __hash__ = None
 
     def __add__(self, other):
         out = dict(self.coeffs)
         for k, v in other.coeffs.items():
             s = out.get(k)
             out[k] = v if s is None else s + v
-        return Poly2(out, self.var, min(self.trunc_hint, other.trunc_hint))
+        return Poly2(out)
 
     def __sub__(self, other):
-        return self + (other * -1)
+        return self + other * -1
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRational)):
-            return Poly2({k: v * other for k, v in self.coeffs.items()},
-                         self.var, self.trunc_hint)
+        if not isinstance(other, Poly2):
+            return self.map(lambda v: v * other)
         out = {}
         for (i1, j1), v1 in self.coeffs.items():
             for (i2, j2), v2 in other.coeffs.items():
@@ -240,41 +210,43 @@ class Poly2:
                 p = v1 * v2
                 s = out.get(k)
                 out[k] = p if s is None else s + p
-        return Poly2(out, self.var, min(self.trunc_hint, other.trunc_hint))
+        return Poly2(out)
 
     __rmul__ = __mul__
 
-    def d_y(self):
-        return Poly2({(i - 1, j): v * i for (i, j), v in self.coeffs.items() if i},
-                     self.var, self.trunc_hint)
+    def map(self, fn):
+        """fn applied to every coefficient."""
+        return Poly2({k: fn(v) for k, v in self.coeffs.items()})
 
-    def d_y1(self):
-        return Poly2({(i, j - 1): v * j for (i, j), v in self.coeffs.items() if j},
-                     self.var, self.trunc_hint)
-
-    def d_x(self):
-        return Poly2({k: v.derivative() for k, v in self.coeffs.items()},
-                     self.var, self.trunc_hint)
+    def derivative(self, axis):
+        """The partial derivative in the first (axis 0) or second variable."""
+        out = {}
+        for (i, j), v in self.coeffs.items():
+            e = j if axis else i
+            if e:
+                out[(i, j - 1) if axis else (i - 1, j)] = v * e
+        return Poly2(out)
 
     def total_d(self, phi: "Poly2"):
-        """D = d/dx + y1 d/dy + Phi d/dy1 along the ODE right-hand side."""
-        y1 = Poly2({(0, 1): ULaurent.monomial(0, 1, self.var, self.trunc_hint)},
-                   self.var, self.trunc_hint)
-        return self.d_x() + y1 * self.d_y() + phi * self.d_y1()
+        """D = d/dx + y1 d/dy + Phi d/dy1 along the ODE right-hand side.
 
-    def coeff(self, i, j) -> ULaurent:
-        return self.coeffs.get((i, j), self._zero())
+        d/dx differentiates the coefficients; y1 d/dy raises the y1
+        exponent of every term of d/dy.
+        """
+        y1_dy = {(i, j + 1): v for (i, j), v in self.derivative(0).coeffs.items()}
+        return (self.map(lambda v: v.derivative()) + Poly2(y1_dy)
+                + phi * self.derivative(1))
 
     def __repr__(self):
         if not self.coeffs:
             return "Poly2(0)"
-        parts = [f"y^{i}*y1^{j}: {v!r}" for (i, j), v in sorted(self.coeffs.items())]
+        parts = [f"{k}: {v!r}" for k, v in sorted(self.coeffs.items())]
         return "Poly2{" + "; ".join(parts) + "}"
 
 
 def tresse_l1(phi: Poly2) -> Poly2:
     """Fourth y1-derivative of the right-hand side (lowest semi-invariant)."""
-    return phi.d_y1().d_y1().d_y1().d_y1()
+    return phi.derivative(1).derivative(1).derivative(1).derivative(1)
 
 
 def tresse_l2(phi: Poly2) -> Poly2:
@@ -285,11 +257,11 @@ def tresse_l2(phi: Poly2) -> Poly2:
     two applications of D each consume one truncation order of the
     Laurent coefficients.
     """
-    p_y = phi.d_y()
-    p_y1 = phi.d_y1()
-    p_yy = p_y.d_y()
-    p_yy1 = p_y.d_y1()
-    p_y1y1 = p_y1.d_y1()
+    p_y = phi.derivative(0)
+    p_y1 = phi.derivative(1)
+    p_yy = p_y.derivative(0)
+    p_yy1 = p_y.derivative(1)
+    p_y1y1 = p_y1.derivative(1)
     d1 = p_y1y1.total_d(phi)
     return (d1.total_d(phi) - 4 * p_yy1.total_d(phi) - p_y1 * d1
             + 4 * (p_y1 * p_yy1) - 3 * (p_y * p_y1y1) + 6 * p_yy)

@@ -41,10 +41,19 @@ _SCALARS = (int, Fraction, GaussRational)
 
 
 def pack(k, l, j):
+    """The key of z^k xi^l eta^j in a ``TriSeries`` (internal).
+
+    Exponents are not checked, so callers check them against the box
+    first: every box is bounded by ``MAX_TRUNC`` (``_checked_truncs``),
+    which keeps exponents and their pairwise sums inside their 21-bit
+    fields.  A negative exponent or one of 2**21 or more would alias
+    another key.
+    """
     return (k << SHIFT1) | (l << SHIFT2) | j
 
 
 def unpack(key):
+    """(k, l, j) of a packed key (internal; the inverse of ``pack``)."""
     return key >> SHIFT1, (key >> SHIFT2) & MASK, key & MASK
 
 
@@ -293,17 +302,19 @@ class _Series:
         return self._raw(self.vars, truncs, cf, den)
 
     def _pow_int(self, n):
+        """self**n by squaring; n >= 1 takes no product with one."""
         if n < 0:
             return self.invert_unit().pow_int(-n)
-        result = self.ring_one()
-        base = self
-        while n:
+        if n == 0:
+            return self.ring_one()
+        base, result = self, None
+        while True:
             if n & 1:
-                result = result * base
-            if n >> 1:
-                base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
 
 class USeries(_Series):
@@ -337,10 +348,6 @@ class USeries(_Series):
     @classmethod
     def monomial(cls, deg, q=1, var="w", trunc=16):
         return cls(var, trunc, {deg: q if isinstance(q, GaussRational) else GaussRational(q)})
-
-    @classmethod
-    def from_list(cls, items, var="w", trunc=16):
-        return cls(var, trunc, {d: q for d, q in enumerate(items)})
 
     # -- inspection ----------------------------------------------------
 
@@ -628,6 +635,8 @@ class ULaurent:
             pole = 0
         v = body.order()
         if v is None:
+            # zero, known below degree body.trunc - pole; kept at pole 0
+            body = body.truncate(body.trunc - pole)
             pole = 0
         else:
             drop = min(v, pole)
@@ -646,10 +655,6 @@ class ULaurent:
         if deg >= 0:
             return cls(USeries.monomial(deg, q, var, trunc), 0)
         return cls(USeries.monomial(0, q, var, trunc), -deg)
-
-    @classmethod
-    def from_series(cls, us: USeries):
-        return cls(us, 0)
 
     @property
     def var(self):
@@ -706,7 +711,7 @@ class ULaurent:
         if isinstance(other, _SCALARS):
             return ULaurent(self.body * other, self.pole)
         if isinstance(other, USeries):
-            other = ULaurent.from_series(other)
+            other = ULaurent(other)
         if not isinstance(other, ULaurent):
             return NotImplemented
         return ULaurent(self.body * other.body, self.pole + other.pole)

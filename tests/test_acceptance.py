@@ -15,10 +15,10 @@ from segreode.gauge import (ScalarGauge, companion_gauge, divergence_report,
                             gauge_chi_tau, linear_family,
                             monodromy_at_infinity, poincare_dulac,
                             riccati_check, to_system, transform_ode_by_gauge)
-from segreode.hypersurface import (BiPoly, HoloField, build_hypersurface,
+from segreode.hypersurface import (HoloField, build_hypersurface,
                                    reality_verify, sphere_pushforward_fields,
                                    tangency_check)
-from segreode.odes import P0Ode, tresse_l1, tresse_l2, validate_p0
+from segreode.odes import P0Ode, Poly2, tresse_l1, tresse_l2, validate_p0
 from segreode.scalars import GaussRational
 from segreode.segre import (RealStructureData, build_real, dual_phi_full,
                             dual_phi_lowjet, extract_real, family_residual,
@@ -212,7 +212,7 @@ def test_criterion_10_tangency():
     jet = build_hypersurface(solve_phi(build_real(data), 4, 1, (6, 6, 14)))
     for X in sphere_pushforward_fields():
         assert tangency_check(jet, X).ok
-    res = tangency_check(jet, HoloField(BiPoly({(0, 0): 1}), BiPoly()))
+    res = tangency_check(jet, HoloField(Poly2({(0, 0): GaussRational(1)}), Poly2()))
     assert not res.ok
     _done(10, "tangency of the model fields", t0, 10.0)
 

@@ -1,17 +1,24 @@
-"""What the benchmark's tracer (``perfbench/tracer.py``) needs of the package.
+"""What the benchmark (``perfbench/``) needs of the package.
 
-The tracer wraps series operations by attribute name in each class's
-own ``__dict__`` and the kernels as attributes of ``segreode.backend``;
-a rename here would otherwise surface only when the benchmark runs with
-``--trace 1``.  The tracer source is parsed, not imported or executed.
+The tracer (``perfbench/tracer.py``) wraps series operations by
+attribute name in each class's own ``__dict__`` and the kernels as
+attributes of ``segreode.backend``; the workloads (``perfbench/work_*.py``)
+call the package by module attribute.  A rename or a deletion here would
+otherwise surface only when the benchmark runs.  The benchmark sources
+are parsed, not imported or executed.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 from segreode import backend, series
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = sorted(PERFBENCH.glob("work_*.py"))
 
 
 def _tracer_constants(*names):
@@ -35,3 +42,60 @@ def test_tracer_names_exist_where_it_wraps_them():
     assert set(consts["KERNELS"]) >= {"mul1", "mul3"}
     for name in consts["KERNELS"]:
         assert callable(getattr(backend, name)), name
+
+
+def _segreode_reads(path):
+    """Every dotted segreode name that ``path`` imports or reads.
+
+    A name bound by ``import segreode...`` or ``from segreode... import``
+    (under its alias, if any) is followed through each attribute chain
+    read from it: ``segreode_io.phi_from_json`` reads
+    ``segreode.io.phi_from_json``.
+    """
+    def in_package(module):
+        return (module or "").split(".")[0] == "segreode"
+
+    tree = ast.parse(path.read_text())
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and in_package(node.module):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if in_package(alias.name):
+                    # "import segreode.x" binds segreode, "... as y" binds segreode.x
+                    bound[alias.asname or "segreode"] = (alias.name if alias.asname
+                                                         else "segreode")
+    reads = set(bound.values())
+    for node in ast.walk(tree):
+        chain = []
+        while isinstance(node, ast.Attribute):
+            chain.append(node.attr)
+            node = node.value
+        if chain and isinstance(node, ast.Name) and node.id in bound:
+            reads.add(".".join([bound[node.id], *reversed(chain)]))
+    return reads
+
+
+def _exists(dotted):
+    parts = dotted.split(".")
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+@pytest.mark.parametrize("path", WORKLOADS, ids=lambda p: p.stem)
+def test_workload_reads_only_names_the_package_has(path):
+    reads = _segreode_reads(path)
+    assert any(name.count(".") >= 2 for name in reads), "no package attribute read"
+    missing = sorted(name for name in reads if not _exists(name))
+    assert not missing, f"{path.name} reads {missing}"

@@ -2,9 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from segreode.hypersurface import (HYPER_VARS, BiPoly, HoloField, TangencyResult,
+from segreode.hypersurface import (HYPER_VARS, HoloField, TangencyResult,
                                    build_hypersurface, reality_verify,
                                    sphere_pushforward_fields, tangency_check)
+from segreode.odes import Poly2
 from segreode.scalars import GaussRational
 from segreode.segre import AdmissiblePhi, RealStructureData, build_real, solve_phi
 from segreode.series import TriSeries, USeries, _combine_shifted, _powers
@@ -73,7 +74,7 @@ def test_tangency_four_model_fields(model_jet):
 
 
 def test_tangency_rejects_translation(model_jet):
-    dz = HoloField(BiPoly({(0, 0): 1}), BiPoly())
+    dz = HoloField(Poly2({(0, 0): G(1)}), Poly2())
     res = tangency_check(model_jet, dz)
     assert not res.ok
     low = min((k, l) for (k, l, j), q in res.residual.terms())
@@ -95,8 +96,8 @@ def test_tangency_commutator_closure(model_jet):
 def test_rotation_field_on_diagonal_families(structure_samples):
     # i z d/dz is tangent whenever the family couples z and zbar only
     # through powers of their product
-    data = RealStructureData(a=USeries.from_list([1, Fraction(1, 2)], trunc=12),
-                             b=USeries.from_list([0, 1], trunc=12),
+    data = RealStructureData(a=USeries("w", 12, {0: 1, 1: Fraction(1, 2)}),
+                             b=USeries("w", 12, {1: 1}),
                              c=USeries.zero(trunc=12), m=2)
     phi = solve_phi(build_real(data), 2, 1, truncs=(5, 5, 10))
     jet = build_hypersurface(phi)
@@ -127,8 +128,8 @@ def _tangency_per_field(jet, X):
     rho_wb = rho.derivative(2).truncate(truncs)
     fz_on = _eval_bipoly(X.fz, z_fac, rho)
     fw_on = _eval_bipoly(X.fw, z_fac, rho)
-    fzbar = _eval_bipoly(X.fz.conjugate(), zb_fac, wb_fac)
-    fwbar = _eval_bipoly(X.fw.conjugate(), zb_fac, wb_fac)
+    fzbar = _eval_bipoly(X.fz.map(G.conjugate), zb_fac, wb_fac)
+    fwbar = _eval_bipoly(X.fw.map(G.conjugate), zb_fac, wb_fac)
     residual = fw_on - fz_on * rho_z - fzbar * rho_zb - fwbar * rho_wb
     return TangencyResult(residual.is_zero(), residual)
 
@@ -136,9 +137,9 @@ def _tangency_per_field(jet, X):
 def _test_fields():
     # the custom field has fz of w-degree 1 and 3 (rho^j rho_z) and an fw
     # term of w-degree 5, past the powers the model fields need
-    custom = HoloField(BiPoly({(0, 1): G(0, 1), (1, 3): G(Fraction(1, 2), -1)}),
-                       BiPoly({(0, 5): G(3), (2, 1): G(0, Fraction(-2, 3))}))
-    return [*sphere_pushforward_fields(), HoloField(BiPoly({(0, 0): 1}), BiPoly()),
+    custom = HoloField(Poly2({(0, 1): G(0, 1), (1, 3): G(Fraction(1, 2), -1)}),
+                       Poly2({(0, 5): G(3), (2, 1): G(0, Fraction(-2, 3))}))
+    return [*sphere_pushforward_fields(), HoloField(Poly2({(0, 0): G(1)}), Poly2()),
             custom]
 
 

@@ -10,15 +10,14 @@ import pytest
 from segreode.cli import check_real_structure, main
 from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
                          parse_coeff_list, parse_monomial_expr, phi_from_json,
-                         phi_to_json, Report, triseries_from_json,
-                         triseries_to_json, ulaurent_from_json,
-                         ulaurent_to_json, useries_from_json, useries_to_json)
+                         phi_to_json, Report, useries_from_json,
+                         useries_to_json)
 from segreode.errors import DomainError, StructureError
 from segreode.gauge import divergence_report, linear_family
 from segreode.odes import P0Ode
 from segreode.scalars import GaussRational
 from segreode.segre import build_real, reality_check, solve_phi
-from segreode.series import ULaurent, USeries
+from segreode.series import USeries
 
 from conftest import rnd_complex_series, rnd_structure_data
 
@@ -27,8 +26,6 @@ def test_series_json_roundtrip(rng):
     for _ in range(5):
         s = rnd_complex_series(rng, deg=6, trunc=10)
         assert useries_from_json(useries_to_json(s)) == s
-    L = ULaurent(rnd_complex_series(rng, deg=5, trunc=9), 3)
-    assert ulaurent_from_json(ulaurent_to_json(L)) == L
 
 
 def test_ode_json_roundtrip(rng):
@@ -42,13 +39,6 @@ def test_phi_json_roundtrip(rng):
     back = phi_from_json(phi_to_json(phi))
     assert back.m == phi.m and back.sign == phi.sign
     assert back.phi == phi.phi
-
-
-def test_triseries_json_roundtrip(rng):
-    ode = build_real(rnd_structure_data(rng, m=1))
-    phi = solve_phi(ode, 1, 1, truncs=(4, 4, 6))
-    t = phi.family()
-    assert triseries_from_json(triseries_to_json(t)) == t
 
 
 def test_bad_records_raise():
@@ -279,6 +269,18 @@ def test_cli_divergence_long_run_reports_a_compact_margin(capsys):
     assert 0 <= rep.min_margin - lower < Fraction(1, 2 ** 32)
 
 
+def test_cli_divergence_table_past_the_digit_limit_exits_2(capsys):
+    # for gamma = 1/3, a_1044 is the first coefficient with a part past
+    # Python's 4,300-digit int-to-str limit; one row less still prints
+    args = ["verify", "divergence", "--gamma=1/3", "-K", "1045"]
+    assert run_cli(args + ["--table", "1044"]) == 0
+    capsys.readouterr()
+    assert run_cli(args + ["--table", "1045"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lower --table" in err and "Traceback" not in err
+
+
 def test_cli_gauge_rejects_undecidable_order(capsys):
     # below order 5 tau = w + O(w^5) cannot fail, so the claim is refused
     assert run_cli(["verify", "gauge", "--gamma", "1", "--order", "4"]) == 2
@@ -479,18 +481,13 @@ def test_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def test_field_and_linsystem_json_roundtrip():
+def test_field_json_roundtrip():
     from segreode.hypersurface import sphere_pushforward_fields
-    from segreode.io import (field_from_json, field_to_json,
-                             linsystem_from_json, linsystem_to_json)
-    from segreode.gauge import to_system
+    from segreode.io import field_from_json, field_to_json
 
     for X in sphere_pushforward_fields():
         back = field_from_json(field_to_json(X))
         assert back.fz == X.fz and back.fw == X.fw
-    sys_ = to_system(linear_family(1, trunc=12))
-    back = linsystem_from_json(linsystem_to_json(sys_))
-    assert back.pole == sys_.pole and back.A == sys_.A
 
 
 def test_cli_tangency_custom_field(tmp_path, capsys):

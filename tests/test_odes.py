@@ -1,13 +1,12 @@
 from fractions import Fraction
 
-from segreode.odes import (P0Ode, GeneralP0, Poly2, singularity_order, tresse, tresse_l1, tresse_l2,
+from segreode.odes import (P0Ode, Poly2, singularity_order, tresse, tresse_l1, tresse_l2,
                            validate_p0)
 from segreode.scalars import GaussRational
 from segreode.segre import build_real
 from segreode.series import ULaurent, USeries
 
 from conftest import rnd_structure_data
-import random
 
 T = 12
 
@@ -39,19 +38,12 @@ def test_validate_builder_outputs(rng):
         assert validate_p0(ode) == []
 
 
-def test_general_form_relations():
-    ode = build_real(rnd_structure_data(random.Random(3)))
-    gen = GeneralP0.from_p0ode(ode)
-    assert gen.validate() == []
-
-
 def test_tresse_flat_and_quadratic():
-    flat = Poly2({}, "w", T)
+    flat = Poly2()
     assert tresse(flat, "L1").is_zero() and tresse(flat, "L2").is_zero()
-    quad = Poly2({(2, 0): ULaurent.monomial(0, 1, "w", T)}, "w", T)
+    quad = Poly2({(2, 0): ULaurent.monomial(0, 1, "w", T)})
     l2 = tresse_l2(quad)
-    assert list(l2.coeffs) == [(0, 0)]
-    assert l2.coeff(0, 0) == ULaurent.monomial(0, 12, "w", T)
+    assert l2.coeffs == {(0, 0): ULaurent.monomial(0, 12, "w", T)}
     assert tresse_l1(quad).is_zero()
 
 

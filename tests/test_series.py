@@ -4,8 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from segreode import backend
 from segreode.errors import DomainError, StructureError
-from segreode.gauge import reversion
+from segreode.gauge import linear_family, reversion
 from segreode.scalars import GaussRational
 from segreode.series import (TriSeries, ULaurent, USeries, _combine_shifted,
                              _div_quadratic)
@@ -192,8 +193,52 @@ def test_laurent_normalization_and_pow():
     y = ULaurent.monomial(-2, 2, trunc=12)
     assert (y.pow_int(-1) * y).truncate_abs(6) == \
         ULaurent.monomial(0, 1, trunc=12).truncate_abs(6)
-    z = ULaurent.from_series(one + w)
+    z = ULaurent(one + w)
     assert (z.invert() * z).body.equal_mod(one)
+
+
+def test_zero_laurent_keeps_its_absolute_truncation():
+    # 0/w^8 with a body known modulo w^14 is known modulo w^6 only
+    zero = ULaurent(USeries.zero(trunc=14), 8)
+    assert zero.is_zero() and zero.pole == 0 and zero.trunc_abs() == 6
+    assert repr(zero) == "O(w^6)"
+    assert zero == ULaurent(USeries.zero(trunc=6)) == ULaurent(USeries.zero(trunc=9), 3)
+    assert zero != ULaurent.zero(trunc=14)
+    x = ULaurent(USeries.monomial(0, 1, trunc=10), 4)     # w^-4 + O(w^6)
+    assert (x - x).trunc_abs() == 6
+    assert (x - x).derivative().trunc_abs() == 5
+    # Q = E/w^8 of the gamma = 0 family, with E = 0 known modulo w^14
+    Q = linear_family(0, trunc=14).first_order_coeffs()[1]
+    assert Q == zero and repr(Q) == "O(w^6)"
+
+
+@pytest.mark.parametrize("n", range(6))
+def test_pow_int_kernel_calls(n, monkeypatch):
+    # squaring takes bit_length(n) - 1 squares and popcount(n) - 1
+    # products, and no product with one
+    want = max(n.bit_length() - 1 + bin(n).count("1") - 1, 0)
+    calls = dict.fromkeys(("mul1", "mul3"), 0)
+
+    def counting(name, kernel):
+        def run(*args):
+            calls[name] += 1
+            return kernel(*args)
+        return run
+
+    for name in calls:
+        monkeypatch.setattr(backend, name, counting(name, getattr(backend, name)))
+    u = USeries("w", 8, {0: 1, 1: GaussRational(2, -1), 3: Fraction(1, 3)})
+    t = TriSeries(("z", "xi", "eta"), (3, 3, 4),
+                  {(0, 0, 0): 1, (1, 0, 1): 2, (0, 1, 2): GaussRational(0, 1)})
+    for s, kernel in ((u, "mul1"), (t, "mul3")):
+        before = dict(calls)
+        got = s.pow_int(n)
+        assert calls[kernel] - before[kernel] == want
+        assert sum(calls.values()) - sum(before.values()) == want
+        expect = s.ring_one()
+        for _ in range(n):
+            expect = expect * s
+        assert got == expect
 
 
 # -- hypothesis property tests --------------------------------------------
