@@ -158,8 +158,6 @@ LINEAR_FAMILY_INFO = Report("linear-family", "info")
 
 def cmd_build(args):
     trunc = resolve_trunc(args.trunc)
-    if args.m < 1:
-        raise SegreOdeError("m must be a positive integer")
     ode = build_real(_real_data(args, trunc))
     text = dumps_canonical(ode_to_json(ode))
     if args.out:

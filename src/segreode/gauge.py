@@ -249,9 +249,8 @@ def _apply_factor(cur, gauge, H, k, pole, trunc):
     Cayley-Hamilton (H^2 = tr H * H - det H * I) inverts T in closed form:
     T^-1 = ((1 + tr H w^k) I - H w^k) / q with
     q = 1 + tr H w^k + det H w^(2k), and dividing by q is the two-term
-    recurrence of ``_div_quadratic``; a diagonal H gives the diagonal
-    T^-1 = diag(1 / (1 + H_ii w^k)) directly.  Each result entry is
-    exact below the smaller of ``trunc`` and its matrix's truncation.
+    recurrence of ``_div_quadratic``.  Each result entry is exact below
+    the smaller of ``trunc`` and its matrix's truncation.
     """
     var = cur.a[0][0].var
     wp = USeries.monomial(pole - 1, 1, var, trunc)
@@ -263,17 +262,13 @@ def _apply_factor(cur, gauge, H, k, pole, trunc):
 
     # Y = cur T - w^pole T'
     Y = [[right_mul(cur.a, i, j, (-k * H[i][j], wp)) for j in range(2)] for i in range(2)]
-    if H[0][1] or H[1][0]:
-        tr = H[0][0] + H[1][1]
-        det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
-        new = [[_div_quadratic(
-                    _combine_shifted(Y[i][j], k, [(tr, Y[i][j]), (-H[i][0], Y[0][j]),
-                                                  (-H[i][1], Y[1][j])], trunc),
-                    k, tr, det)
-                for j in range(2)] for i in range(2)]
-    else:
-        new = [[_div_quadratic(Y[i][j], k, H[i][i], 0) for j in range(2)]
-               for i in range(2)]
+    tr = H[0][0] + H[1][1]
+    det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
+    new = [[_div_quadratic(
+                _combine_shifted(Y[i][j], k, [(tr, Y[i][j]), (-H[i][0], Y[0][j]),
+                                              (-H[i][1], Y[1][j])], trunc),
+                k, tr, det)
+            for j in range(2)] for i in range(2)]
     return Mat2(new), Mat2([[right_mul(gauge.a, i, j) for j in range(2)] for i in range(2)])
 
 
@@ -293,14 +288,11 @@ def _as_gauss(gamma):
 def linear_family(gamma, m=4, trunc=20) -> P0Ode:
     """The one-parameter linear sextuple (a, b, c) = (1, gamma*w^m, 0)."""
     g = _as_gauss(gamma)
-    data = RealStructureData(a=USeries.constant(1, "w", trunc),
-                             b=USeries.monomial(m, g, "w", trunc) if not g.is_zero()
-                             else USeries.zero("w", trunc),
-                             c=USeries.zero("w", trunc), m=m)
     if not g.is_real():
-        # keep builder contract honest: b must be real
         raise DomainError("family parameter must be real")
-    return build_real(data)
+    return build_real(RealStructureData(a=USeries.constant(1, "w", trunc),
+                                        b=USeries.monomial(m, g, "w", trunc),
+                                        c=USeries.zero("w", trunc), m=m))
 
 
 def _formal_numerators(g, count):

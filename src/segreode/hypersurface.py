@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError
+from .errors import DomainError, StructureError
 from .odes import Poly2
 from .scalars import GaussRational
 from .segre import AdmissiblePhi
-from .series import TriSeries, _combine_shifted, _powers, unpack
+from .series import TriSeries, _combine_shifted, _powers
 
 HYPER_VARS = ("z", "zbar", "wbar")
 
@@ -26,6 +26,10 @@ class HyperJet:
     m: int
     sign: int
     rho: TriSeries
+
+    def __post_init__(self):
+        if not self.signature_ok():
+            raise DomainError("family did not produce an admissible defining series")
 
     @property
     def truncs(self):
@@ -73,12 +77,7 @@ class _TangencyContext:
 
 def build_hypersurface(phi: AdmissiblePhi) -> HyperJet:
     """Expand the defining series of the hypersurface behind a family."""
-    phi.check_admissible()
-    rho = phi.family().relabel(HYPER_VARS)
-    jet = HyperJet(phi.m, phi.sign, rho)
-    if not jet.signature_ok():
-        raise DomainError("family did not produce an admissible defining series")
-    return jet
+    return HyperJet(phi.m, phi.sign, phi.family().relabel(HYPER_VARS))
 
 
 @dataclass(frozen=True)
@@ -117,10 +116,8 @@ def reality_verify(jet: HyperJet) -> RealityResult:
     diff = composed - w_mono
     if diff.is_zero():
         return RealityResult(True, None, composed.truncs)
-    key = min(diff.coeffs, key=lambda kk: (sum(unpack(kk)), unpack(kk)))
-    k, l, j = unpack(key)
-    return RealityResult(False, RealityWitness((k, l, j), diff.coeff(k, l, j)),
-                         composed.truncs)
+    mono, value = min(diff.terms(), key=lambda t: (sum(t[0]), t[0]))
+    return RealityResult(False, RealityWitness(mono, value), composed.truncs)
 
 
 @dataclass(frozen=True)
@@ -129,6 +126,10 @@ class HoloField:
 
     fz: Poly2
     fw: Poly2
+
+    def __post_init__(self):
+        if any(e < 0 for p in (self.fz, self.fw) for key in p.coeffs for e in key):
+            raise StructureError("a field's exponents must be non-negative")
 
     def __add__(self, other):
         return HoloField(self.fz + other.fz, self.fw + other.fw)

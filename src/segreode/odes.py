@@ -16,6 +16,7 @@ singular fiber w = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainError, StructureError
 from .series import ULaurent
@@ -117,24 +118,23 @@ class P0Ode:
         return Poly2(terms)
 
 
+def structural_cd(A, B, m):
+    """The (C, D) fixed by (A, B, m): C = -A^2/9, 3D = w^m A' - m w^(m-1) A - A B."""
+    C = A * A * Fraction(-1, 9)
+    D = (A.derivative().shift_up(m) - A.shift_up(m - 1) * m - A * B) * Fraction(1, 3)
+    return C, D
+
+
 def validate_p0(ode: P0Ode):
     """Report the structural relations violated by the sextuple.
 
-    Empty list iff C = -A^2/9 and 3D = w^m A' - m w^(m-1) A - A B hold
-    modulo the carried truncation; violations carry the first failing
-    degree of the coefficient series (not an exception).
+    Empty list iff (C, D) equals ``structural_cd(A, B, m)`` modulo the
+    carried truncation; violations carry the first failing degree of
+    the coefficient series (not an exception).
     """
-    out = []
-    A, B, C, D = ode.A, ode.B, ode.C, ode.D
-    rC = C * 9 + A * A
-    if not rC.is_zero():
-        out.append(RelationViolation("C = -A^2/9", rC.order()))
-    wAp = A.derivative().shift_up(ode.m)
-    mwA = A.shift_up(ode.m - 1) * ode.m
-    rD = D * 3 - (wAp - mwA - A * B)
-    if not rD.is_zero():
-        out.append(RelationViolation("D = (w^(2m) (A/w^m)' - A B)/3", rD.order()))
-    return out
+    C, D = structural_cd(ode.A, ode.B, ode.m)
+    residuals = (("C = -A^2/9", ode.C - C), ("D = (w^(2m) (A/w^m)' - A B)/3", ode.D - D))
+    return [RelationViolation(rel, r.order()) for rel, r in residuals if not r.is_zero()]
 
 
 def singularity_order(m, A, B, C, D, E, F):
@@ -245,7 +245,7 @@ class Poly2:
 
 
 def tresse_l1(phi: Poly2) -> Poly2:
-    """Fourth y1-derivative of the right-hand side (lowest semi-invariant)."""
+    """Fourth y1-derivative of the right-hand side: zero on any sextuple, linear in y1."""
     return phi.derivative(1).derivative(1).derivative(1).derivative(1)
 
 
@@ -268,6 +268,7 @@ def tresse_l2(phi: Poly2) -> Poly2:
 
 
 def tresse(phi: Poly2, which: str) -> Poly2:
+    """The semi-invariant ``which``: "L1", which no sextuple can fail, or "L2"."""
     if which == "L1":
         return tresse_l1(phi)
     if which == "L2":

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError, PrecisionError
-from .odes import P0Ode, validate_p0
+from .odes import P0Ode, structural_cd, validate_p0
 from .scalars import GaussRational, I
 from .series import TriSeries, USeries, _compose
 
@@ -27,7 +27,7 @@ PHI_VARS = ("z", "xi", "eta")
 
 @dataclass(frozen=True)
 class AdmissiblePhi:
-    """Solved family datum phi with its order m and exponent sign."""
+    """Admissible family datum phi with its order m and exponent sign."""
 
     m: int
     sign: int
@@ -36,6 +36,7 @@ class AdmissiblePhi:
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise DomainError("sign must be +1 or -1")
+        self.check_admissible()
 
     @property
     def truncs(self):
@@ -47,12 +48,11 @@ class AdmissiblePhi:
     def check_admissible(self):
         """Enforce the normalization: phi = z*xi + sum_{k,l>=2} phi_kl z^k xi^l."""
         tz, tx, _ = self.phi.truncs
-        for (k, l, j), q in self.phi.terms():
-            if k == 1 and l == 1 and j == 0:
-                if q != GaussRational(1):
+        for k, l, j in self.phi.exponents():
+            if (k, l, j) == (1, 1, 0):
+                if self.phi.coeff(1, 1, 0) != GaussRational(1):
                     raise InternalInconsistencyError("(1,1) slice must be 1")
-                continue
-            if k < 2 or l < 2:
+            elif k < 2 or l < 2:
                 raise InternalInconsistencyError(
                     f"admissibility violated at monomial {(k, l, j)}")
         if tz >= 2 and tx >= 2 and self.phi.coeff(1, 1, 0) != GaussRational(1):
@@ -72,6 +72,9 @@ class RealStructureData:
     b: USeries
     c: USeries
     m: int
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         if self.m < 1:
@@ -119,9 +122,7 @@ def solve_phi(ode: P0Ode, m: int, sign: int = 1,
         rhs = _findphi_rhs(phi, m, A, B, C, D, E, F)
         phi = zxi + rhs.integrate_z(2).truncate(truncs)
 
-    result = AdmissiblePhi(m, 1, phi)
-    result.check_admissible()
-    return result
+    return AdmissiblePhi(m, 1, phi)
 
 
 def _findphi_rhs(phi, m, A, B, C, D, E, F):
@@ -170,7 +171,7 @@ def recover_ode(phi: AdmissiblePhi):
     """(A, B, E, F) read off the low slices of an admissible family.
 
     Together with the two structural relations this pins the whole
-    sextuple; ``to_ode`` completes C and D accordingly.
+    sextuple; ``recovered_to_ode`` completes C and D accordingly.
     """
     m, s = phi.m, phi.sign
     p22, p23 = phi.slice(2, 2), phi.slice(2, 3)
@@ -188,11 +189,8 @@ def recover_ode(phi: AdmissiblePhi):
 def recovered_to_ode(phi: AdmissiblePhi) -> P0Ode:
     A, B, E, F = recover_ode(phi)
     trunc = min(x.trunc for x in (A, B, E, F))
-    C = (A * A * Fraction(-1, 9)).truncate(trunc)
-    D = ((A.derivative().shift_up(phi.m) - A.shift_up(phi.m - 1) * phi.m
-          - A * B) * Fraction(1, 3)).truncate(trunc)
-    return P0Ode(phi.m, A.truncate(trunc), B.truncate(trunc), C, D,
-                 E.truncate(trunc), F.truncate(trunc))
+    A, B = A.truncate(trunc), B.truncate(trunc)
+    return P0Ode(phi.m, A, B, *structural_cd(A, B, phi.m), E, F)
 
 
 def dual_phi_lowjet(phi: AdmissiblePhi):
@@ -263,9 +261,7 @@ def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
 
     logu = expo.truncate((tz, tx, te - 1))
     star = logu.divide_eta(m - 1) * (1 / (-I * s))
-    out = AdmissiblePhi(m, -s, star)
-    out.check_admissible()
-    return out
+    return AdmissiblePhi(m, -s, star)
 
 
 @dataclass(frozen=True)
@@ -302,7 +298,9 @@ def reality_check(ode: P0Ode, m: int, sign: int = 1,
     included, is the one a solve on the full box would give, and
     checked_order is at most the ODE's truncation, as the solve's
     eta-truncation is.  A box with tz or tx below 4 does not hold the
-    slices it reads and raises PrecisionError.
+    slices it reads and raises PrecisionError.  Sign -1 checks
+    ``ode.conjugate()`` at sign +1; whether that is the paper's
+    criterion for the minus family is still open.
     """
     tz, tx, te = truncs
     if min(tz, tx) < 4:
@@ -326,25 +324,19 @@ def reality_check(ode: P0Ode, m: int, sign: int = 1,
 def build_real(data: RealStructureData, trunc=None) -> P0Ode:
     """Sextuple with an m-positive real structure from (a, b, c, m).
 
-    A = 3c, B = 2ia - m w^(m-1), C = -A^2/9, D = w^m c' - 2iac,
+    A = 3c, B = 2ia - m w^(m-1), (C, D) = ``structural_cd(A, B, m)``,
     E = b + i w^m a', F = i * conj(c).  The C entry follows the
     structural relation (the alternative reading conj(c)^2 differs only
     in sign conventions when c is nonzero and never occurs with c = 0).
     """
-    data.validate()
     a, b, c, m = data.a, data.b, data.c, data.m
     if trunc is None:
         trunc = min(a.trunc, b.trunc, c.trunc)
     a, b, c = a.truncate(trunc), b.truncate(trunc), c.truncate(trunc)
     A = c * 3
     B = a * (2 * I) - USeries.monomial(m - 1, m, "w", trunc)
-    C = A * A * Fraction(-1, 9)
-    D = c.derivative().shift_up(m).truncate(trunc) - a * c * (2 * I)
     E = b + a.derivative().shift_up(m).truncate(trunc) * I
-    F = c.conjugate() * I
-    ode = P0Ode(m, A, B, C, D, E, F)
-    assert not validate_p0(ode)
-    return ode
+    return P0Ode(m, A, B, *structural_cd(A, B, m), E, c.conjugate() * I)
 
 
 @dataclass(frozen=True)
@@ -356,11 +348,12 @@ class ExtractFailure:
         return f"extract_real: {self.condition} (witness {self.witness!r})"
 
 
-def extract_real(ode: P0Ode, truncs_margin=0):
+def extract_real(ode: P0Ode):
     """Invert the real-structure formulas; data or failure diagnostics.
 
     Returns (RealStructureData, []) on success, (None, failures) with
-    the violated conditions otherwise.
+    the violated conditions otherwise.  The structural relations imply
+    D = w^m c' - 2iac, so only a, b and F are left to check.
     """
     bad = validate_p0(ode)
     if bad:
@@ -379,10 +372,6 @@ def extract_real(ode: P0Ode, truncs_margin=0):
     rF = ode.F - c.conjugate() * I
     if not rF.is_zero():
         failures.append(ExtractFailure("F = i conj(c)", rF))
-    rD = ode.D - (c.derivative().shift_up(m).truncate(ode.trunc)
-                  - a * c * (2 * I))
-    if not rD.is_zero():
-        failures.append(ExtractFailure("D = w^m c' - 2iac", rD))
     if failures:
         return None, failures
     return RealStructureData(a=a.truncate(b.trunc), b=b, c=c.truncate(b.trunc),

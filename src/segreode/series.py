@@ -802,6 +802,10 @@ class TriSeries(_Series):
         for key in sorted(self.coeffs):
             yield unpack(key), _gauss(self.coeffs[key], self.den)
 
+    def exponents(self):
+        """The exponent triples of ``terms()``, without their coefficients."""
+        return map(unpack, sorted(self.coeffs))
+
     def min_total_order(self):
         if not self.coeffs:
             return None

@@ -1,9 +1,11 @@
 """What the benchmark (``perfbench/``) needs of the package.
 
 The tracer (``perfbench/tracer.py``) wraps series operations by
-attribute name in each class's own ``__dict__`` and the kernels as
-attributes of ``segreode.backend``; the workloads (``perfbench/work_*.py``)
-call the package by module attribute.  A rename or a deletion here would
+attribute name in each class's own ``__dict__``, the kernels as
+attributes of ``segreode.backend`` and the public functions of each
+layer module by name; the workloads (``perfbench/work_*.py``) call the
+package by module attribute, and ``perfbench/run.py`` reports per-layer
+metrics under the names of those functions.  A rename or a deletion here would
 otherwise surface only when the benchmark runs.  The benchmark sources
 are parsed, not imported or executed.
 """
@@ -18,6 +20,7 @@ from segreode import backend, series
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
+RUN = PERFBENCH / "run.py"
 WORKLOADS = sorted(PERFBENCH.glob("work_*.py"))
 
 
@@ -99,3 +102,51 @@ def test_workload_reads_only_names_the_package_has(path):
     assert any(name.count(".") >= 2 for name in reads), "no package attribute read"
     missing = sorted(name for name in reads if not _exists(name))
     assert not missing, f"{path.name} reads {missing}"
+
+
+def _per_layer_names():
+    """Every metric name ``per_layer_spec`` in ``perfbench/run.py`` can report.
+
+    String constants are taken as they are; an f-string inside a
+    ``for fn in (...)`` loop or comprehension is expanded over the
+    tuple.  F-strings over other names (the tracer's kernels and series
+    operations, checked above) are skipped.
+    """
+    tree = ast.parse(RUN.read_text())
+    spec = next(node for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "per_layer_spec")
+    names = {node.value for node in ast.walk(spec)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    for node in ast.walk(spec):
+        if isinstance(node, ast.For):
+            loops = [(node.target, node.iter, node.body)]
+        elif isinstance(node, ast.ListComp):
+            loops = [(gen.target, gen.iter, [node.elt]) for gen in node.generators]
+        else:
+            continue
+        for target, values, body in loops:
+            if not (isinstance(target, ast.Name) and isinstance(values, ast.Tuple)):
+                continue
+            for fstr in (n for stmt in body for n in ast.walk(stmt)
+                         if isinstance(n, ast.JoinedStr)):
+                fields = [v.value for v in fstr.values if isinstance(v, ast.FormattedValue)]
+                if not all(isinstance(f, ast.Name) and f.id == target.id for f in fields):
+                    continue
+                for value in ast.literal_eval(values):
+                    names.add("".join(v.value if isinstance(v, ast.Constant) else value
+                                      for v in fstr.values))
+    return names
+
+
+def test_per_layer_metrics_name_functions_the_tracer_wraps():
+    layers = _tracer_constants("LAYER_MODULES")["LAYER_MODULES"]
+    functions = {".".join(name.split(".")[:2]) for name in _per_layer_names()
+                 if name.count(".") >= 2 and name.split(".")[0] in layers}
+    assert {"gauge.reversion", "segre.dual_phi_full", "odes.tresse_l2",
+            "cli.main"} <= functions
+    for name in sorted(functions):
+        layer, attr = name.split(".")
+        module = importlib.import_module(f"segreode.{layer}")
+        fn = getattr(module, attr, None)
+        # the tracer wraps a layer's public functions defined in that module
+        assert callable(fn) and fn.__module__ == module.__name__, name

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from segreode.hypersurface import (HYPER_VARS, HoloField, TangencyResult,
+from segreode.errors import DomainError, StructureError
+from segreode.hypersurface import (HYPER_VARS, HoloField, HyperJet, TangencyResult,
                                    build_hypersurface, reality_verify,
                                    sphere_pushforward_fields, tangency_check)
 from segreode.odes import Poly2
@@ -32,6 +33,19 @@ def test_build_hypersurface_leading_terms(model_jet):
     assert rho.coeff(0, 0, 1) == G(1)
     assert rho.coeff(1, 1, 4) == G(0, 1)
     assert model_jet.signature_ok()
+
+
+def test_hyperjet_checks_its_leading_signature(model_jet):
+    with pytest.raises(DomainError):
+        HyperJet(4, -1, model_jet.rho)
+    with pytest.raises(DomainError):
+        HyperJet(3, 1, model_jet.rho)
+
+
+def test_field_refuses_negative_exponents():
+    for fz, fw in [({(0, -1): G(1)}, {}), ({(-1, 0): G(1)}, {}), ({}, {(2, -3): G(1)})]:
+        with pytest.raises(StructureError):
+            HoloField(Poly2(fz), Poly2(fw))
 
 
 def test_build_flat_m1():

@@ -12,7 +12,7 @@ from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
                          parse_coeff_list, parse_monomial_expr, phi_from_json,
                          phi_to_json, Report, useries_from_json,
                          useries_to_json)
-from segreode.errors import DomainError, StructureError
+from segreode.errors import DomainError, SegreOdeError, StructureError
 from segreode.gauge import divergence_report, linear_family
 from segreode.odes import P0Ode
 from segreode.scalars import GaussRational
@@ -39,6 +39,16 @@ def test_phi_json_roundtrip(rng):
     back = phi_from_json(phi_to_json(phi))
     assert back.m == phi.m and back.sign == phi.sign
     assert back.phi == phi.phi
+
+
+@pytest.mark.parametrize("k, l", [(2, 0), (0, 2)])
+def test_phi_record_must_be_admissible(k, l):
+    phi = solve_phi(linear_family(1, trunc=8), 4, 1, truncs=(4, 4, 8))
+    record = phi_to_json(phi)
+    extra = USeries("w", 8, {3: GaussRational(1)})
+    record["slices"].append({"k": k, "l": l, "series": useries_to_json(extra)})
+    with pytest.raises(SegreOdeError, match=f"monomial \\({k}, {l}, 3\\)"):
+        phi_from_json(record)
 
 
 def test_bad_records_raise():
@@ -488,6 +498,22 @@ def test_field_json_roundtrip():
     for X in sphere_pushforward_fields():
         back = field_from_json(field_to_json(X))
         assert back.fz == X.fz and back.fw == X.fw
+
+
+@pytest.mark.parametrize("axis", [0, 1], ids=["fz=z^-1", "fz=w^-1"])
+def test_cli_tangency_field_with_negative_exponent_exits_2(axis, tmp_path, capsys):
+    from segreode.io import gauss_to_json
+
+    deg = [-1, 0] if axis == 0 else [0, -1]
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"format": 1, "fw": {"terms": []},
+                                "fz": {"terms": [{"deg": deg,
+                                                  "coeff": gauss_to_json(GaussRational(1))}]}}))
+    assert run_cli(["verify", "tangency", "--field", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "non-negative" in captured.err
 
 
 def test_cli_tangency_custom_field(tmp_path, capsys):

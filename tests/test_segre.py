@@ -225,6 +225,53 @@ def test_admissibility_guard():
         AdmissiblePhi(4, 1, bad).check_admissible()
 
 
+def _admissibility_oracle(phi):
+    """The coefficient-by-coefficient admissibility check, over ``terms()``."""
+    tz, tx, _ = phi.truncs
+    for (k, l, j), q in phi.terms():
+        if k == 1 and l == 1 and j == 0:
+            if q != GaussRational(1):
+                raise InternalInconsistencyError("(1,1) slice must be 1")
+            continue
+        if k < 2 or l < 2:
+            raise InternalInconsistencyError(
+                f"admissibility violated at monomial {(k, l, j)}")
+    if tz >= 2 and tx >= 2 and phi.coeff(1, 1, 0) != GaussRational(1):
+        raise InternalInconsistencyError("missing z*xi leading term")
+
+
+@pytest.mark.parametrize("terms, truncs", [
+    ({(1, 1, 0): 2, (1, 1, 1): 1}, TRUNCS),        # both defects of the z*xi slice
+    ({(1, 1, 0): 1, (1, 1, 1): 1}, TRUNCS),
+    ({(1, 1, 0): I, (2, 2, 0): 1}, TRUNCS),
+    ({(1, 1, 0): 1, (2, 0, 0): 1, (0, 2, 3): 1}, TRUNCS),
+    ({(1, 1, 0): 1, (3, 1, 2): 5}, TRUNCS),
+    ({(0, 0, 0): 1, (1, 1, 0): 1}, TRUNCS),
+    ({(2, 2, 0): 1}, TRUNCS),                      # no z*xi term at all
+    ({(1, 0, 4): 1}, TRUNCS),
+    ({}, (1, 5, 12)),                              # z*xi lies outside the box
+    ({(1, 1, 0): 1, (2, 3, 5): GaussRational(Fraction(1, 3), 2)}, TRUNCS),
+])
+def test_admissibility_matches_coefficient_oracle(terms, truncs):
+    phi = TriSeries(("z", "xi", "eta"), truncs, terms)
+    try:
+        _admissibility_oracle(phi)
+    except InternalInconsistencyError as exc:
+        with pytest.raises(InternalInconsistencyError) as got:
+            AdmissiblePhi(4, 1, phi)
+        assert str(got.value) == str(exc)
+    else:
+        assert AdmissiblePhi(4, 1, phi).phi is phi
+
+
+def test_structure_data_checks_itself_at_construction():
+    z = USeries.zero(trunc=T)
+    with pytest.raises(DomainError, match="series b must have real"):
+        RealStructureData(a=z, b=USeries.monomial(2, I, trunc=T), c=z, m=1)
+    with pytest.raises(DomainError, match="m must be a positive integer"):
+        RealStructureData(a=z, b=z, c=z, m=0)
+
+
 def test_reality_stable_under_real_scaling_of_b(structure_samples):
     data = structure_samples[1]
     scaled = RealStructureData(a=data.a, b=data.b * Fraction(2, 3),
