@@ -28,8 +28,7 @@ from .errors import DomainError, InternalInconsistencyError, StructureError
 from .odes import P0Ode
 from .scalars import GaussRational, gauss_sqrt_exact
 from .segre import RealStructureData, build_real
-from .series import (ULaurent, USeries, _combine_shifted, _compose,
-                     _div_quadratic, _scalar_triple)
+from .series import ULaurent, USeries, _combine_shifted, _compose, _scalar_triple
 
 
 class Mat2:
@@ -185,11 +184,11 @@ def poincare_dulac(sys: LinSystem, order: int) -> PDResult:
     nonzero resonant entries are reported as obstructions and left in
     the normal form.
 
-    Each factor T = I + H w^k has a constant H, so a step needs no
-    series product: ``_apply_factor`` multiplies by T as X + (X H) w^k
-    and inverts T by Cayley-Hamilton.  The matrix is carried to degree
-    ``order`` only, since no step reads past it; the gauge keeps the
-    system's truncation.
+    Each factor T = I + H w^k has a constant H: ``_apply_factor``
+    multiplies by T as X + (X H) w^k and inverts T by Cayley-Hamilton,
+    which leaves one division by a quadratic in w^k.  The matrix is
+    carried to degree ``order`` only, since no step reads past it; the
+    gauge keeps the system's truncation.
     """
     lead = sys.A.coeff_matrix(0)
     if lead[0][1] or lead[1][0]:
@@ -244,13 +243,13 @@ def poincare_dulac(sys: LinSystem, order: int) -> PDResult:
 def _apply_factor(cur, gauge, H, k, pole, trunc):
     """Conjugate by T = I + H w^k:  cur <- T^-1 (cur T - w^pole T').
 
-    H is a constant matrix, so no series product is needed.  Right
+    H is a constant matrix, so T needs no series product.  Right
     multiplication is X T = X + (X H) w^k, and w^pole T' = k H w^(k+pole-1).
     Cayley-Hamilton (H^2 = tr H * H - det H * I) inverts T in closed form:
     T^-1 = ((1 + tr H w^k) I - H w^k) / q with
-    q = 1 + tr H w^k + det H w^(2k), and dividing by q is the two-term
-    recurrence of ``_div_quadratic``.  Each result entry is exact below
-    the smaller of ``trunc`` and its matrix's truncation.
+    q = 1 + tr H w^k + det H w^(2k); dividing by q is one ``invert_unit``
+    and a product per entry (none when q = 1).  Each result entry is
+    exact below the smaller of ``trunc`` and its matrix's truncation.
     """
     var = cur.a[0][0].var
     wp = USeries.monomial(pole - 1, 1, var, trunc)
@@ -264,11 +263,13 @@ def _apply_factor(cur, gauge, H, k, pole, trunc):
     Y = [[right_mul(cur.a, i, j, (-k * H[i][j], wp)) for j in range(2)] for i in range(2)]
     tr = H[0][0] + H[1][1]
     det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
-    new = [[_div_quadratic(
-                _combine_shifted(Y[i][j], k, [(tr, Y[i][j]), (-H[i][0], Y[0][j]),
-                                              (-H[i][1], Y[1][j])], trunc),
-                k, tr, det)
+    new = [[_combine_shifted(Y[i][j], k, [(tr, Y[i][j]), (-H[i][0], Y[0][j]),
+                                          (-H[i][1], Y[1][j])], trunc)
             for j in range(2)] for i in range(2)]
+    if tr or det:
+        n = max(e.trunc for row in new for e in row)
+        qinv = USeries(var, n, {0: 1, k: tr, 2 * k: det}).invert_unit()
+        new = [[e * qinv for e in row] for row in new]
     return Mat2(new), Mat2([[right_mul(gauge.a, i, j) for j in range(2)] for i in range(2)])
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, PrecisionError, StructureError
 from .odes import Poly2
 from .scalars import GaussRational
 from .segre import AdmissiblePhi
@@ -28,6 +28,11 @@ class HyperJet:
     rho: TriSeries
 
     def __post_init__(self):
+        tz, tx, te = self.rho.truncs
+        if tz < 2 or tx < 2 or te <= self.m:
+            raise PrecisionError(
+                f"hypersurface jet: the box {self.rho.truncs} does not hold the leading"
+                f" term wbar^{self.m}*z*zbar; it needs at least (2, 2, {self.m + 1})")
         if not self.signature_ok():
             raise DomainError("family did not produce an admissible defining series")
 

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, StructureError
+from .errors import DomainError, InternalInconsistencyError, StructureError
 from .odes import COEFF_NAMES, P0Ode, Poly2
 from .scalars import GaussRational, parse_gauss
 from .segre import AdmissiblePhi
@@ -105,7 +105,7 @@ def phi_from_json(obj) -> AdmissiblePhi:
         tri = TriSeries(("z", "xi", "eta"), truncs, terms)
         sign = {"+": 1, "-": -1}[obj["sign"]]
         return AdmissiblePhi(int(obj["m"]), sign, tri)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InternalInconsistencyError) as exc:
         raise StructureError(f"bad family record: {exc}") from exc
 
 

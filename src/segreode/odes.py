@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, StructureError
-from .series import ULaurent
+from .series import ULaurent, USeries
 
 COEFF_NAMES = ("A", "B", "C", "D", "E", "F")
 
@@ -27,7 +27,11 @@ COEFF_NAMES = ("A", "B", "C", "D", "E", "F")
 @dataclass(frozen=True)
 class RelationViolation:
     relation: str
-    first_degree: int
+    residual: USeries      # the relation's left side minus its right side
+
+    @property
+    def first_degree(self):
+        return self.residual.order()
 
     def __str__(self):
         return f"{self.relation} fails first at degree {self.first_degree}"
@@ -129,12 +133,12 @@ def validate_p0(ode: P0Ode):
     """Report the structural relations violated by the sextuple.
 
     Empty list iff (C, D) equals ``structural_cd(A, B, m)`` modulo the
-    carried truncation; violations carry the first failing degree of
-    the coefficient series (not an exception).
+    carried truncation; each violation carries its residual series and
+    the first failing degree (not an exception).
     """
     C, D = structural_cd(ode.A, ode.B, ode.m)
     residuals = (("C = -A^2/9", ode.C - C), ("D = (w^(2m) (A/w^m)' - A B)/3", ode.D - D))
-    return [RelationViolation(rel, r.order()) for rel, r in residuals if not r.is_zero()]
+    return [RelationViolation(rel, r) for rel, r in residuals if not r.is_zero()]
 
 
 def singularity_order(m, A, B, C, D, E, F):

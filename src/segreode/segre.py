@@ -357,7 +357,7 @@ def extract_real(ode: P0Ode):
     """
     bad = validate_p0(ode)
     if bad:
-        return None, [ExtractFailure(str(v), getattr(ode, "C")) for v in bad]
+        return None, [ExtractFailure(str(v), v.residual) for v in bad]
     m = ode.m
     failures = []
     c = ode.A * Fraction(1, 3)

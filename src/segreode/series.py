@@ -115,7 +115,7 @@ def _content_normalize(coeffs, den):
     for a, b in coeffs.values():
         if g == 1:
             break
-        g = math.gcd(g, math.gcd(a, b))
+        g = math.gcd(g, a, b)
     if not coeffs:
         return coeffs, 1
     if g > 1:
@@ -162,18 +162,13 @@ class _Series:
         """Store (key, scalar) pairs, all inside the box, over one denominator."""
         cf, den = {}, 1
         for key, q in items:
-            a, b, dq = _scalar_triple(q)
-            if a == 0 and b == 0:
-                continue
-            den_new = den * dq // math.gcd(den, dq)
-            if den_new != den:
-                s = den_new // den
-                cf = {k: (x * s, y * s) for k, (x, y) in cf.items()}
-                den = den_new
-            s = den // dq
-            cf[key] = (a * s, b * s)
+            a, b, d = _scalar_triple(q)
+            if a or b:
+                cf[key] = (a, b, d)
+                den = math.lcm(den, d)
         self.vars, self.truncs = vars, truncs
-        self.coeffs, self.den = _content_normalize(cf, den)
+        self.coeffs, self.den = _content_normalize(
+            {k: (a * (den // d), b * (den // d)) for k, (a, b, d) in cf.items()}, den)
 
     @classmethod
     def _raw(cls, vars, truncs, coeffs, den):
@@ -458,8 +453,9 @@ def _exp_graded(coeffs, den, grade, ngrades, mul):
     add under multiplication and ``mul`` must drop products outside the
     ring.  With t = T/den split into homogeneous parts T_j, the parts
     E_n of exp(t) obey n E_n = sum_{j=1..n} j (T_j/den) E_(n-j), E_0 = 1
-    (Brent & Kung); F_n = n! den^n E_n keeps that recurrence integral:
-    F_n = sum_j j (n-1)!/(n-j)! den^(j-1) T_j F_(n-j).
+    (Brent & Kung).  Each E_n is kept primitive over its own denominator,
+    so its size follows its reduced coefficients, and the grades are
+    summed once over the lcm of their denominators.
     Returns the integer pairs and the denominator of exp(t).
     """
     ngrades = max(ngrades, 1)
@@ -467,30 +463,31 @@ def _exp_graded(coeffs, den, grade, ngrades, mul):
     for key, v in coeffs.items():
         parts[grade(key)][key] = v
     one = {0: (1, 0)}
-    F = [mul(one, one)]                     # {} in the zero ring
+    E = [(mul(one, one), 1)]                # {} in the zero ring
     for n in range(1, ngrades):
+        js = [j for j in range(1, n + 1) if parts[j] and E[n - j][0]]
+        lcm = math.lcm(*(E[n - j][1] for j in js))
         acc = {}
-        falling = 1                         # (n-1)!/(n-j)! * den^(j-1)
-        for j in range(1, n + 1):
-            if parts[j] and F[n - j]:
-                s = j * falling
-                for k, (a, b) in mul(parts[j], F[n - j]).items():
-                    cur = acc.get(k)
-                    if cur is None:
-                        acc[k] = (a * s, b * s)
-                    else:
-                        acc[k] = (cur[0] + a * s, cur[1] + b * s)
-            falling *= (n - j) * den
-        F.append({k: v for k, v in acc.items() if v[0] or v[1]})
-    # E = sum_n F_n / (n! den^n), over the common denominator N! den^N.
-    top = ngrades - 1
+        for j in js:
+            cf, d = E[n - j]
+            s = j * (lcm // d)
+            for k, (a, b) in mul(parts[j], cf).items():
+                cur = acc.get(k)
+                if cur is None:
+                    acc[k] = (a * s, b * s)
+                else:
+                    acc[k] = (cur[0] + a * s, cur[1] + b * s)
+        for k in [k for k, v in acc.items() if not (v[0] or v[1])]:
+            del acc[k]
+        E.append(_content_normalize(acc, n * den * lcm))
+    # the grades hold disjoint keys
+    lcm = math.lcm(*(d for _, d in E))
     out = {}
-    scale = 1                               # N!/n! * den^(N-n)
-    for n in range(top, -1, -1):
-        for k, (a, b) in F[n].items():
-            out[k] = (a * scale, b * scale)
-        scale *= n * den
-    return out, math.factorial(top) * den ** top
+    for cf, d in E:
+        s = lcm // d
+        for k, (a, b) in cf.items():
+            out[k] = (a * s, b * s)
+    return out, lcm
 
 
 def _combine_shifted(base, shift, terms, trunc, den=None):
@@ -572,45 +569,6 @@ def _compose(series, t):
     return [_combine_shifted(zero, 0, [(c, powers[d]) for d, c in s.coeffs.items()
                                        if d < len(powers)], box(s.trunc), s.den)
             for s in series]
-
-
-def _div_quadratic(s, k, c1, c2):
-    """s / (1 + c1 var**k + c2 var**(2k)) for scalars c1, c2 and k >= 1.
-
-    The quotient n obeys the two-term recurrence
-    n_d = s_d - c1 n_(d-k) - c2 n_(d-2k).  With c1 = T/L, c2 = C/L over
-    one denominator L, nu_d = L**(d//k) den n_d stays integral:
-    nu_d = L**(d//k) s_d den - T nu_(d-k) - L C nu_(d-2k).
-    """
-    if not c1 and not c2:
-        return s
-    a1, b1, d1 = _scalar_triple(c1)
-    a2, b2, d2 = _scalar_triple(c2)
-    L = math.lcm(d1, d2)
-    t1, t2 = a1 * (L // d1), b1 * (L // d1)
-    u1, u2 = a2 * (L // d2) * L, b2 * (L // d2) * L
-    top = (s.trunc - 1) // k
-    Lpow = [1]
-    for _ in range(max(top, 0)):
-        Lpow.append(Lpow[-1] * L)
-    nu = {}
-    for d in range(s.trunc):
-        x, y = s.coeffs.get(d, (0, 0))
-        lp = Lpow[d // k]
-        re, im = x * lp, y * lp
-        p = nu.get(d - k)
-        if p is not None:
-            re -= t1 * p[0] - t2 * p[1]
-            im -= t1 * p[1] + t2 * p[0]
-        p = nu.get(d - 2 * k)
-        if p is not None:
-            re -= u1 * p[0] - u2 * p[1]
-            im -= u1 * p[1] + u2 * p[0]
-        if re or im:
-            nu[d] = (re, im)
-    out = {d: (re * Lpow[top - d // k], im * Lpow[top - d // k])
-           for d, (re, im) in nu.items()}
-    return USeries._raw(s.vars, s.truncs, out, s.den * Lpow[max(top, 0)])
 
 
 def _term_str(d, q, var):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from segreode import gauge as gauge_mod
+from segreode import backend, gauge as gauge_mod
 from segreode.errors import DomainError
 from segreode.gauge import (LinSystem, Mat2, PDResult, PDStep, ScalarGauge,
                             companion_gauge, conjugation_residual,
@@ -261,6 +261,25 @@ def test_gauge_chi_tau_shapes():
     fhat = USeries.constant(1, trunc=12)
     ghat = USeries.monomial(1, 1, trunc=12)
     assert _trivial_gauge(gauge_chi_tau(fhat, ghat))
+
+
+def _max_bits(coeffs):
+    return max((max(abs(a), abs(b)).bit_length() for a, b in coeffs.values()), default=0)
+
+
+def test_gauge_chi_tau_operands_stay_the_size_of_fhat(monkeypatch):
+    # an exp that scales each grade E_n up to n! den^n E_n to keep it
+    # integral feeds mul1 operands that grow linearly in the order
+    fhat, ghat = formal_fundamental(1, 96)
+    largest = [0]
+    mul1 = backend.mul1
+
+    def spy(ca, cb, trunc):
+        largest[0] = max(largest[0], _max_bits(ca), _max_bits(cb))
+        return mul1(ca, cb, trunc)
+    monkeypatch.setattr(backend, "mul1", spy)
+    gauge_chi_tau(fhat, ghat)
+    assert 0 < largest[0] <= 2 * max(_max_bits(fhat.coeffs), fhat.den.bit_length())
 
 
 def _trivial_gauge(F):

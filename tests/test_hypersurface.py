@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from segreode.errors import DomainError, StructureError
+from segreode.errors import DomainError, PrecisionError, StructureError
 from segreode.hypersurface import (HYPER_VARS, HoloField, HyperJet, TangencyResult,
                                    build_hypersurface, reality_verify,
                                    sphere_pushforward_fields, tangency_check)
@@ -40,6 +40,17 @@ def test_hyperjet_checks_its_leading_signature(model_jet):
         HyperJet(4, -1, model_jet.rho)
     with pytest.raises(DomainError):
         HyperJet(3, 1, model_jet.rho)
+    with pytest.raises(DomainError):
+        HyperJet(13, 1, model_jet.rho)
+
+
+def test_hyperjet_refuses_a_box_without_its_leading_term(model_jet):
+    # wbar^m z zbar lies outside the box, so the signature cannot be read
+    for truncs in ((1, 6, 14), (6, 1, 14), (6, 6, 4)):
+        with pytest.raises(PrecisionError, match="at least"):
+            HyperJet(4, 1, model_jet.rho.truncate(truncs))
+    with pytest.raises(PrecisionError):
+        HyperJet(14, 1, model_jet.rho)
 
 
 def test_field_refuses_negative_exponents():

@@ -12,7 +12,7 @@ from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
                          parse_coeff_list, parse_monomial_expr, phi_from_json,
                          phi_to_json, Report, useries_from_json,
                          useries_to_json)
-from segreode.errors import DomainError, SegreOdeError, StructureError
+from segreode.errors import DomainError, StructureError
 from segreode.gauge import divergence_report, linear_family
 from segreode.odes import P0Ode
 from segreode.scalars import GaussRational
@@ -47,7 +47,7 @@ def test_phi_record_must_be_admissible(k, l):
     record = phi_to_json(phi)
     extra = USeries("w", 8, {3: GaussRational(1)})
     record["slices"].append({"k": k, "l": l, "series": useries_to_json(extra)})
-    with pytest.raises(SegreOdeError, match=f"monomial \\({k}, {l}, 3\\)"):
+    with pytest.raises(StructureError, match=f"bad family record: .*monomial \\({k}, {l}, 3\\)"):
         phi_from_json(record)
 
 
@@ -514,6 +514,15 @@ def test_cli_tangency_field_with_negative_exponent_exits_2(axis, tmp_path, capsy
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "non-negative" in captured.err
+
+
+def test_cli_tangency_box_without_the_leading_term_exits_2(capsys):
+    # eta-truncation 14 <= m = 20: wbar^m z zbar lies outside the box
+    assert run_cli(["verify", "tangency", "--m", "20", "--trunc", "14"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "(6, 6, 14)" in captured.err and "wbar^20" in captured.err
 
 
 def test_cli_tangency_custom_field(tmp_path, capsys):

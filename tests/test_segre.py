@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from segreode.errors import DomainError, InternalInconsistencyError, PrecisionError
+from segreode.gauge import linear_family
 from segreode.odes import P0Ode, validate_p0
 from segreode.scalars import GaussRational, I
 from segreode.segre import (AdmissiblePhi, RealityReport, RealStructureData,
@@ -217,6 +218,17 @@ def test_extract_real_detects_imaginary_gamma():
     got, failures = extract_real(bad)
     assert got is None
     assert any("must be real" in f.condition for f in failures)
+
+
+def test_extract_real_witness_is_the_relation_residual():
+    ode = linear_family(1, trunc=8)
+    bad = P0Ode(ode.m, ode.A, ode.B, ode.C, ode.D + USeries.monomial(2, 1, trunc=8),
+                ode.E, ode.F)
+    got, failures = extract_real(bad)
+    assert got is None
+    [failure] = failures
+    assert failure.condition.startswith("D = ")
+    assert failure.witness == USeries.monomial(2, 1, trunc=8)
 
 
 def test_admissibility_guard():

@@ -8,8 +8,7 @@ from segreode import backend
 from segreode.errors import DomainError, StructureError
 from segreode.gauge import linear_family, reversion
 from segreode.scalars import GaussRational
-from segreode.series import (TriSeries, ULaurent, USeries, _combine_shifted,
-                             _div_quadratic)
+from segreode.series import TriSeries, ULaurent, USeries, _combine_shifted
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 gauss = st.builds(GaussRational, fractions, fractions)
@@ -386,15 +385,6 @@ def test_combine_shifted_matches_ring_ops(base, a, b, ca, cb, shift, tbase, ta, 
     # three variables take shift 0
     want = (tbase + ta * ca + tb * cb).truncate((3, 4, 4))
     assert _combine_shifted(tbase, 0, [(ca, ta), (cb, tb)], (3, 4, 4)) == want
-
-
-@settings(max_examples=60, deadline=None)
-@given(useries(), gauss, gauss, st.integers(1, 4))
-def test_div_quadratic_inverts_the_quadratic(s, c1, c2, k):
-    q = USeries("w", s.trunc, {0: 1, k: c1, 2 * k: c2})
-    quot = _div_quadratic(s, k, c1, c2)
-    assert quot * q == s
-    assert quot == s * q.invert_unit()
 
 
 def naive_compose(s, t):
