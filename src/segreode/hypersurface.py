@@ -182,10 +182,16 @@ def tangency_check(jet: HyperJet, X: HoloField) -> TangencyResult:
     the powers of rho and the products rho^j rho_z are made once per
     jet, so the fields checked on one jet share them, and the residual
     is one linear combination of monomial shifts on the meet of the
-    three derivative boxes.
+    three derivative boxes, which must reach wbar^m, where rho first
+    depends on z: below it fz is never read (``PrecisionError``).
     """
-    ctx = jet.tangency_context
     tz, tx, te = jet.truncs
+    box = (tz - 1, tx - 1, te - 1)
+    if te - 1 <= jet.m:
+        raise PrecisionError(f"tangency: the residual box {box} ends below wbar^{jet.m},"
+                             f" where rho first depends on z; it needs eta-truncation"
+                             f" at least {jet.m + 2}")
+    ctx = jet.tangency_context
     terms = []
     for (i, j), q in X.fw.coeffs.items():
         terms += [(q, ctx.power(j).mul_monomial(i, 0, 0)),
@@ -193,7 +199,6 @@ def tangency_check(jet: HyperJet, X: HoloField) -> TangencyResult:
     for (i, j), q in X.fz.coeffs.items():
         terms += [(-q, ctx.power_rho_z(j).mul_monomial(i, 0, 0)),
                   (-q.conjugate(), ctx.rho_zb.mul_monomial(0, i, j))]
-    box = (tz - 1, tx - 1, te - 1)
     residual = _combine_shifted(TriSeries._raw(HYPER_VARS, box, {}, 1), 0, terms, box)
     return TangencyResult(residual.is_zero(), residual)
 

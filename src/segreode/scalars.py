@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DomainError
@@ -170,10 +171,18 @@ _TERM = re.compile(
 )
 
 
+def _int(digits):
+    try:
+        return int(digits)
+    except ValueError:      # a run of digits fails only past the int-conversion limit
+        raise DomainError(f"a {len(digits)}-digit number is more than the"
+                          f" {sys.get_int_max_str_digits()} digits Python converts") from None
+
+
 def parse_gauss(text: str) -> GaussRational:
     """Parse literals such as '3', '-1/2', '2i', 'i/3', '1+2i', '1/2-3i/4'.
 
-    Raises DomainError on malformed input (including zero denominators).
+    Raises DomainError on malformed, zero-denominator or over-long input.
     """
     s = text.strip()
     if not s:
@@ -186,15 +195,15 @@ def parse_gauss(text: str) -> GaussRational:
             raise DomainError(f"malformed Gaussian-rational literal: {text!r}")
         sign = -1 if m.group("sign") == "-" else 1
         if m.group("ibare"):
-            den = int(m.group("iden") or 1)
+            den = _int(m.group("iden") or "1")
             if den == 0:
                 raise DomainError(f"zero denominator in {text!r}")
             total = total + GaussRational(0, Fraction(sign, den))
         else:
             if m.group("i1") and m.group("i2"):
                 raise DomainError(f"malformed Gaussian-rational literal: {text!r}")
-            num = int(m.group("num"))
-            den = int(m.group("den") or 1)
+            num = _int(m.group("num"))
+            den = _int(m.group("den") or "1")
             if den == 0:
                 raise DomainError(f"zero denominator in {text!r}")
             q = Fraction(sign * num, den)

@@ -6,7 +6,8 @@ from the inverse ODE of a validated sextuple by Picard iteration on the
 integrated Cauchy problem.  Each sweep extends the correct z-jet by one
 order, so the sweeps climb a precision ladder: the first runs on
 z-truncation 2, each later one a z-order wider, and the truncs[0] - 2
-sweeps end on the full box with phi exact there.
+sweeps end on the full box with phi exact there.  The dual family is
+solved on the same kind of ladder; neither iterates to a fixed point.
 
 Variable naming follows the family convention: the second and third
 TriSeries variables are the antiholomorphic parameters.
@@ -136,10 +137,11 @@ def _findphi_rhs(phi, m, A, B, C, D, E, F):
     phid = phi.derivative(0).truncate(truncs)
     phid2 = phid * phid
     eta_m1 = TriSeries.monomial(0, 0, m - 1, 1, PHI_VARS, truncs)
-    term1 = (eta_m1 + lin * _scaled_exp(psi, 1 - m)) * phid2 * (-I)
+    scale = (psi * (1 - m)).exp()               # e^((1-m) psi); 1 for m = 1
+    term1 = (eta_m1 + lin * scale) * phid2 * (-I)
     if cubic is None:
         return term1
-    term2 = cubic * _scaled_exp(psi, 2 - 2 * m) * (phid2 * phid)
+    term2 = cubic * (scale * scale) * (phid2 * phid)
     return term1 + term2
 
 
@@ -159,12 +161,6 @@ def _ode_on_family(W, A, B, C, D, E, F):
     cubic = (at[2].mul_monomial(3, 0, 0) + at[3].mul_monomial(2, 0, 0)
              + at[4].mul_monomial(1, 0, 0) + at[5])
     return lin, cubic
-
-
-def _scaled_exp(psi, k):
-    if k == 0:
-        return TriSeries.constant(1, psi.vars, psi.truncs)
-    return (psi * k).exp()
 
 
 def recover_ode(phi: AdmissiblePhi):
@@ -222,16 +218,17 @@ def dual_phi_lowjet(phi: AdmissiblePhi):
 def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
     """Dual family: swap graph variables against parameters and re-solve.
 
-    Solves  eta = w * exp(s*i*w^(m-1)*phi(xi, z, w))  for w by fixed-point
-    iteration in the series ring.  A sweep multiplies the error of w by
-    (z*xi)^g, with g = 2 for m = 1 and g = 1 otherwise, so the iteration
-    climbs a ladder of square (z, xi)-boxes of side 1 + g, 1 + 2g, ...,
-    each solved exactly by one sweep, and then sweeps on the full box
-    until w is a fixed point.  There w = eta*exp(expo) for the exponent
-    expo of the last sweep, so log(w/eta) is expo on the box of w/eta.
-    The result carries the opposite sign and loses m orders of
-    eta-truncation (one to the leading factor, m-1 to the exponent
-    normalization).
+    Solves  eta = w * exp(s*i*w^(m-1)*phi(xi, z, w))  for w by sweeps
+    w <- eta*exp(expo(w)).  A sweep multiplies the error of w by (z*xi)^g,
+    with g = 2 for m = 1 and g = 1 otherwise, so from eta, exact on the
+    box of side 1, one sweep on each square box of side 1 + g, 1 + 2g, ...
+    below t = min(tz, tx) solves w there.  A last sweep on the full box
+    lands on the square of side t, as the swapped phi lives on (tx, tz, te);
+    the error it starts from has z- or xi-degree at least t - g, so its
+    expo is exact there and log(w/eta) = expo (exp is injective on series
+    without a constant term).  The result carries the opposite sign and
+    loses m orders of eta-truncation (one to the leading factor, m-1 to
+    the exponent normalization).
     """
     m, s = phi.m, phi.sign
     truncs = phi.phi.truncs
@@ -241,26 +238,13 @@ def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
     def exponent(w):
         return (swapped.subst_eta(w) * w.pow_int(m - 1)) * (-I * s)
 
-    def sweep(w):
-        return exponent(w).exp().mul_monomial(0, 0, 1)
-
-    # eta is exact on the box of side 1 (w - eta is a multiple of z*xi).
     w = TriSeries.monomial(0, 0, 1, 1, PHI_VARS, truncs).truncate((1, 1, te))
     gain = 2 if m == 1 else 1
     for side in range(1 + gain, min(tz, tx), gain):
-        w = sweep(w.widen((side, side, te)))
-    w = w.widen(truncs)
-    for _ in range((tz + tx) // 2 + 2):
-        expo = exponent(w)
-        new = expo.exp().mul_monomial(0, 0, 1)
-        if new == w:
-            break
-        w = new
-    else:
-        raise InternalInconsistencyError("dual fixed point did not stabilize")
+        w = exponent(w.widen((side, side, te))).exp().mul_monomial(0, 0, 1)
+    expo = exponent(w.widen(truncs))
 
-    logu = expo.truncate((tz, tx, te - 1))
-    star = logu.divide_eta(m - 1) * (1 / (-I * s))
+    star = expo.truncate((tz, tx, te - 1)).divide_eta(m - 1) * (1 / (-I * s))
     return AdmissiblePhi(m, -s, star)
 
 

@@ -14,7 +14,7 @@ from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
                          useries_to_json)
 from segreode.errors import DomainError, StructureError
 from segreode.gauge import divergence_report, linear_family
-from segreode.odes import P0Ode
+from segreode.odes import P0Ode, Poly2
 from segreode.scalars import GaussRational
 from segreode.segre import build_real, reality_check, solve_phi
 from segreode.series import USeries
@@ -371,7 +371,12 @@ MALFORMED_LITERALS = [
     *(["verify", check, f"--gamma={g}"] for check in ("divergence", "monodromy", "gauge")
       for g in ("1/2/3", "abc")),
     ["pipeline", "--a", "1", "--b", "0", "--c", "1/0", "--m", "1", "--out-dir", "{out}"],
+    # {long} has more digits than Python's int conversion takes
+    ["build", "--a", "{long}", "--b", "0", "--m", "1"],
+    ["pipeline", "--a", "1", "--b", "1/{long}", "--m", "1", "--out-dir", "{out}"],
+    *(["verify", check, "--gamma", "{long}"] for check in ("gauge", "divergence", "monodromy")),
 ]
+LONG_LITERAL = "1" * 5001
 
 
 def _malformed_cases():
@@ -392,7 +397,8 @@ def test_cli_malformed_input_exits_2(case, ode_files, tmp_path, capsys):
         path.write_text(json.dumps(MALFORMED_ODE_RECORDS[name](record)))
         argv = ["verify", check, "--ode", str(path)]
     else:
-        argv = [a.format(out=tmp_path / "out", **ode_files) for a in case[1]]
+        argv = [a.format(out=tmp_path / "out", long=LONG_LITERAL, **ode_files)
+                for a in case[1]]
     assert run_cli(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
@@ -516,13 +522,28 @@ def test_cli_tangency_field_with_negative_exponent_exits_2(axis, tmp_path, capsy
     assert "non-negative" in captured.err
 
 
-def test_cli_tangency_box_without_the_leading_term_exits_2(capsys):
+def test_cli_tangency_box_without_the_leading_term_exits_2(tmp_path, capsys):
     # eta-truncation 14 <= m = 20: wbar^m z zbar lies outside the box
     assert run_cli(["verify", "tangency", "--m", "20", "--trunc", "14"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
     assert "(6, 6, 14)" in captured.err and "wbar^20" in captured.err
+    # d/dz is not tangent to the model (m = 4); the residual box of
+    # eta-truncation 5 ends below wbar^4, where rho first reads z
+    from segreode.hypersurface import HoloField
+    from segreode.io import field_to_json
+    path = tmp_path / "ddz.json"
+    path.write_text(dumps_canonical(field_to_json(
+        HoloField(Poly2({(0, 0): GaussRational(1)}), Poly2()))))
+    argv = ["verify", "tangency", "--field", str(path), "--trunc"]
+    assert run_cli(argv + ["5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert "wbar^4" in captured.err and "at least 6" in captured.err
+    assert run_cli(argv + ["6"]) == 1
+    assert "[FAIL] tangency-field-custom (residual order 5)" in capsys.readouterr().out
 
 
 def test_cli_tangency_custom_field(tmp_path, capsys):

@@ -392,13 +392,56 @@ def _horner_log(s):
     return acc * t
 
 
-@pytest.mark.parametrize("truncs", [TRUNCS, (4, 6, 10), (6, 3, 9)])
+@pytest.mark.parametrize("truncs", [TRUNCS, (4, 6, 10), (6, 3, 9), (7, 7, 14)])
 def test_dual_full_matches_full_box_iteration(structure_samples, truncs):
-    phis = [solve_phi(build_real(family_data(1)), 4, 1, truncs)]
-    phis += [solve_phi(build_real(d), d.m, 1, truncs) for d in structure_samples[:5]]
-    for phi in phis:
+    te = max(truncs[2], T)
+    data = [family_data(1, trunc=te)] + [
+        # the samples are polynomials: build them to the box's eta-truncation
+        RealStructureData(d.a.widen(te), d.b.widen(te), d.c.widen(te), d.m)
+        for d in structure_samples[:5]]
+    for d in data:
+        phi = solve_phi(build_real(d), d.m, 1, truncs)
+        assert phi.truncs == truncs
         dual = dual_phi_full(phi)
         assert dual == _dual_by_full_box_iteration(phi), phi.m
+
+
+def _count_tri_exp(monkeypatch):
+    """The boxes of the TriSeries.exp calls made from now on."""
+    calls = []
+    exp = TriSeries.exp
+
+    def counted(self):
+        calls.append(self.truncs)
+        return exp(self)
+
+    monkeypatch.setattr(TriSeries, "exp", counted)
+    return calls
+
+
+def test_dual_full_takes_one_exp_per_rung(structure_samples, monkeypatch):
+    # at (5, 5, 12) the ladder has sides 3 (m = 1) or 2, 3, 4 (m >= 2);
+    # the sweep on the full box stops at its exponent and takes no exp
+    calls = _count_tri_exp(monkeypatch)
+    data = [family_data(1)] + structure_samples[:3]
+    assert sorted(d.m for d in data) == [1, 2, 3, 4]
+    for d in data:
+        phi = solve_phi(build_real(d), d.m, 1, TRUNCS)
+        calls.clear()
+        dual_phi_full(phi)
+        assert calls == ([(3, 3, 12)] if d.m == 1
+                         else [(2, 2, 12), (3, 3, 12), (4, 4, 12)]), d.m
+
+
+def test_findphi_rhs_takes_two_exps(structure_samples, monkeypatch):
+    # exp(psi), and exp((1 - m) psi) shared by the linear and cubic terms
+    data = next(d for d in structure_samples if d.m >= 2 and not d.c.is_zero())
+    ode = build_real(data).rescale_order(data.m)
+    assert not all(getattr(ode, n).is_zero() for n in "CDEF")
+    phi = solve_phi(ode, data.m, 1, TRUNCS)
+    calls = _count_tri_exp(monkeypatch)
+    _findphi_rhs(phi.phi, data.m, *(getattr(ode, n) for n in "ABCDEF"))
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("truncs", [(5, 5, 12), (7, 7, 14), (9, 9, 18)])
