@@ -24,7 +24,7 @@ import os
 import sys
 
 from . import __version__
-from .errors import SegreOdeError
+from .errors import DomainError, SegreOdeError
 from .hypersurface import (build_hypersurface, reality_verify,
                            sphere_pushforward_fields, tangency_check)
 from .io import (Report, dumps_canonical, field_from_json, hyperjet_to_json,
@@ -222,7 +222,7 @@ def verify_divergence(args):
     rep = divergence_report(_gamma(args), args.terms, args.onset)
     try:
         table = [[k, v] for k, v in rep.table(args.table)]
-    except ValueError:      # a coefficient past the interpreter's int-to-str limit
+    except DomainError:     # a coefficient past the interpreter's int-to-str limit
         raise SegreOdeError(f"--table {args.table}: a coefficient has more than"
                             f" {sys.get_int_max_str_digits()} digits, more than Python"
                             " converts to text; lower --table") from None

@@ -11,8 +11,10 @@ gauge.
 The formal pair comes from the coefficient recurrence of fhat and a
 conjugation (ghat = w conj(fhat) for real gamma); the recurrence and
 the divergence certificate run on Gaussian-integer numerators over one
-known denominator.  Poincare-Dulac serves the monodromy classification
-and the normal-form checks.  The companion of a gauge (f, g) is
+known denominator.  Poincare-Dulac decides the monodromy at the
+resonance order of the Fuchsian point at infinity, the largest integer
+gap between its residue eigenvalues, and serves the normal-form checks
+to any order.  The companion of a gauge (f, g) is
 (g' / ((g/w)^m f), g) in closed form, and the pushforward solves the
 chain rule on the w-side and reverts g alone, so nothing in the package
 inverts a gauge; ``ScalarGauge.inverse`` is kept as API and as the
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, InternalInconsistencyError, StructureError
+from .errors import DomainError, InternalInconsistencyError, PrecisionError, StructureError
 from .odes import P0Ode
 from .scalars import GaussRational, gauss_sqrt_exact
 from .segre import RealStructureData, build_real
@@ -110,6 +112,10 @@ class LinSystem:
     @property
     def var(self):
         return self.A[0, 0].var
+
+    @property
+    def trunc(self):
+        return min(e.trunc for row in self.A.a for e in row)
 
     def max_degree(self):
         degs = [max(e.coeffs, default=-1) for row in self.A.a for e in row]
@@ -198,8 +204,7 @@ def poincare_dulac(sys: LinSystem, order: int) -> PDResult:
     if p >= 2 and lam[0] == lam[1]:
         raise DomainError("irregular case needs distinct leading eigenvalues")
 
-    var = sys.var
-    trunc = min(e.trunc for row in sys.A.a for e in row)
+    var, trunc = sys.var, sys.trunc
     cur = sys.A.truncate(min(trunc, order + 1))
     gauge = Mat2.identity(var, trunc)
     steps, residues, obstructions = [], [], []
@@ -655,10 +660,10 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
 class MonodromyReport:
     residue: tuple
     eigenvalues: tuple
-    normal_form: LinSystem
+    system: LinSystem       # t y' = M(t) y with M(0) = diag(eigenvalues)
     obstructions: tuple
     trivial: bool
-    order: int
+    order: int              # the resonance order the verdict is decided at
 
     def __str__(self):
         ev = ", ".join(str(e) for e in self.eigenvalues)
@@ -667,46 +672,48 @@ class MonodromyReport:
                 f" (checked to order {self.order})")
 
 
-def monodromy_at_infinity(sys: LinSystem, order=10) -> MonodromyReport:
+def monodromy_at_infinity(sys: LinSystem) -> MonodromyReport:
     """Classify the monodromy through the Fuchsian point w = infinity.
 
-    Substituting t = 1/w turns a pole-p system with matrix polynomial of
-    degree <= p-1 into t y' = M(t) y with residue M(0) = -A_{p-1}.  The
-    residue is diagonalized exactly, the Fuchsian normalization is run
-    with empirical resonance detection, and the monodromy is reported
-    trivial only when the computed normal form is the diagonal Euler
-    system with integer eigenvalues and the obstruction list is empty.
-    The only other singularity of such a system is w = 0, so triviality
+    Substituting t = 1/w turns a pole-p system with matrix polynomial
+    A_0 + ... + A_{p-1} w^(p-1) into t y' = M(t) y with
+    M = -sum_k A_k t^(p-1-k) and residue R = M(0) = -A_{p-1}.  R is
+    diagonalized exactly to diag(lam1, lam2); that conjugate of M is the
+    report's ``system``.
+
+    Poincare-Dulac at a Fuchsian point (Ilyashenko and Yakovenko,
+    *Lectures on Analytic Differential Equations*, section 16): a term
+    of degree k >= 1 is removed by a constant gauge I + H t^k unless k
+    is a positive integer difference lam_i - lam_j, and the normalizing
+    gauge converges.  So the normal form is decided at the resonance
+    order N, the largest such difference (0 if there is none): each step
+    up to N removes every non-resonant entry, the diagonal included, the
+    resonant entries left at degree N are the obstructions, and every
+    term past N is removable.  The normal form is diag(lam) plus the
+    obstructions, and the monodromy is trivial exactly when both
+    eigenvalues are integers and nothing obstructs.  M is a polynomial,
+    exact on any t-box, so it is built on one that holds degree N.  The
+    only other singularity of the system is w = 0, so triviality
     transfers to the irregular point.
     """
-    p = sys.pole
-    deg = sys.max_degree()
-    if deg > p - 1:
+    p, trunc = sys.pole, sys.trunc
+    if trunc < p:
+        raise PrecisionError(f"monodromy at infinity reads the residue A_{p - 1},"
+                             f" but the system is known below w^{trunc} only")
+    if sys.max_degree() > p - 1:
         raise DomainError("matrix degree exceeds pole-1: infinity is not Fuchsian")
-    trunc = min(e.trunc for row in sys.A.a for e in row)
-    # t y' = M(t) y with M = -sum_k A_k t^(p-1-k)
-    entries = [[dict() for _ in range(2)] for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            for d, q in sys.A[i, j].terms():
-                entries[i][j][p - 1 - d] = -q
-    M = Mat2(tuple(tuple(USeries("t", trunc, entries[i][j]) for j in range(2))
-                   for i in range(2)))
-    R = M.coeff_matrix(0)
+    R = tuple(tuple(-e.coeff(p - 1) for e in row) for row in sys.A.a)
     lam, P = _diagonalize_exact(R)
+    gap = lam[1] - lam[0]
+    order = abs(int(gap.re)) if gap.is_integer() else 0
+    box = max(trunc, order + 1)
+    M = sys.A.map(lambda e: USeries("t", box, {p - 1 - d: -q for d, q in e.terms()}))
     if P is not None:
-        Pinv = _const_inverse(P)
-        Mc = Mat2.from_consts(P, "t", trunc)
-        Mcinv = Mat2.from_consts(Pinv, "t", trunc)
-        M = Mcinv * M * Mc
-    pd = poincare_dulac(LinSystem(1, M), order)
-    nf = pd.normal_form
-    euler = all(nf.A[i, j].equal_mod(
-        USeries.constant(lam[i], "t", trunc) if i == j else USeries.zero("t", trunc),
-        order) for i in range(2) for j in range(2))
-    integer_ev = all(e.is_integer() for e in lam)
-    trivial = euler and integer_ev and not pd.obstructions
-    return MonodromyReport(R, lam, nf, pd.obstructions, trivial, order)
+        M = Mat2.from_consts(_const_inverse(P), "t", box) * M * Mat2.from_consts(P, "t", box)
+    system = LinSystem(1, M)
+    pd = poincare_dulac(system, order)
+    trivial = all(e.is_integer() for e in lam) and not pd.obstructions
+    return MonodromyReport(R, lam, system, pd.obstructions, trivial, order)
 
 
 def _diagonalize_exact(R):

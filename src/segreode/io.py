@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DomainError, InternalInconsistencyError, StructureError
 from .odes import COEFF_NAMES, P0Ode, Poly2
-from .scalars import GaussRational, parse_gauss
+from .scalars import GaussRational, int_text, parse_gauss
 from .segre import AdmissiblePhi
 from .series import TriSeries, ULaurent, USeries
 
@@ -24,8 +24,8 @@ FORMAT_VERSION = 1
 # -- scalars -----------------------------------------------------------
 
 def gauss_to_json(q: GaussRational):
-    return {"re": {"num": str(q.re.numerator), "den": str(q.re.denominator)},
-            "im": {"num": str(q.im.numerator), "den": str(q.im.denominator)}}
+    return {"re": {"num": int_text(q.re.numerator), "den": int_text(q.re.denominator)},
+            "im": {"num": int_text(q.im.numerator), "den": int_text(q.im.denominator)}}
 
 
 def gauss_from_json(obj) -> GaussRational:

@@ -132,11 +132,11 @@ class GaussRational:
 
     def __str__(self):
         if not self.im:
-            return str(self.re)
+            return _frac_str(self.re)
         if not self.re:
             return _imag_str(self.im)
         sign = "+" if self.im > 0 else "-"
-        return f"{self.re}{sign}{_imag_str(abs(self.im))}"
+        return f"{_frac_str(self.re)}{sign}{_imag_str(abs(self.im))}"
 
     def as_factor_str(self):
         """Form safe to prefix to '*w^k' (complex values parenthesized)."""
@@ -144,14 +144,27 @@ class GaussRational:
         return f"({s})" if (self.re and self.im) else s
 
 
+def int_text(n: int) -> str:
+    """Decimal text of n; every writer turns its ints into text here."""
+    try:
+        return str(n)
+    except ValueError:      # an int fails only past the int-to-str limit
+        raise DomainError(f"a number has more than the {sys.get_int_max_str_digits()}"
+                          " digits Python converts to text") from None
+
+
+def _frac_str(q: Fraction) -> str:
+    num = int_text(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{int_text(q.denominator)}"
+
+
 def _imag_str(q: Fraction) -> str:
     if q == 1:
         return "i"
     if q == -1:
         return "-i"
-    if q.denominator == 1:
-        return f"{q.numerator}i"
-    return f"{q.numerator}i/{q.denominator}"
+    num = int_text(q.numerator)
+    return f"{num}i" if q.denominator == 1 else f"{num}i/{int_text(q.denominator)}"
 
 
 ZERO = GaussRational(0)

@@ -159,8 +159,7 @@ def test_criterion_06_formal_gauge():
         assert dev.order() >= 5
         moved = transform_ode_by_gauge(linear_family(0, trunc=N + 4), gau,
                                        target=linear_family(gamma, trunc=N + 4))
-        order = moved.residual_order()
-        assert moved.matches_target() or order >= N - 8
+        assert moved.matches_target()
     _done(6, "formal gauge chain", t0, 10.0)
 
 
@@ -185,11 +184,13 @@ def test_criterion_08_monodromy():
         assert rep.trivial
         assert rep.eigenvalues == (G(0), G(1))
         assert rep.obstructions == ()
-        nf = rep.normal_form
+        pd = poincare_dulac(rep.system, 10)
+        assert pd.obstructions == ()
+        nf = pd.normal_form
         assert nf.pole == 1
         assert nf.A[0, 0].is_zero() and nf.A[0, 1].is_zero() \
             and nf.A[1, 0].is_zero()
-        assert nf.A[1, 1].equal_mod(USeries.constant(1, "t", 16), rep.order)
+        assert nf.A[1, 1].equal_mod(USeries.constant(1, "t", 16), 10)
     _done(8, "trivial monodromy", t0, 5.0)
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from segreode import backend, gauge as gauge_mod
-from segreode.errors import DomainError
+from segreode.errors import DomainError, PrecisionError
 from segreode.gauge import (LinSystem, Mat2, PDResult, PDStep, ScalarGauge,
                             companion_gauge, conjugation_residual,
                             divergence_report, formal_fundamental,
@@ -165,17 +165,9 @@ def test_poincare_dulac_matches_reference(gamma):
 
 
 @pytest.mark.parametrize("gamma", [1, -2, Fraction(-1, 2), Fraction(2, 3)])
-def test_fuchsian_poincare_dulac_matches_reference(gamma, monkeypatch):
-    seen = []
-
-    def spy(sys, order):
-        seen.append((sys, order))
-        return poincare_dulac(sys, order)
-    monkeypatch.setattr(gauge_mod, "poincare_dulac", spy)
+def test_fuchsian_poincare_dulac_matches_reference(gamma):
     for trunc, order in ((16, 10), (30, 20)):
-        monodromy_at_infinity(to_system(linear_family(gamma, trunc=trunc)), order)
-    assert len(seen) == 2
-    for sys_, order in seen:
+        sys_ = monodromy_at_infinity(to_system(linear_family(gamma, trunc=trunc))).system
         assert sys_.pole == 1
         pd = poincare_dulac(sys_, order)
         assert any(s.kind == "fuchsian" for s in pd.steps)
@@ -225,8 +217,7 @@ def test_formal_fundamental_ghat_matches_poincare_dulac(gamma):
 def test_formal_fundamental_rejects_nonreal_gamma(monkeypatch):
     def no_work(*args, **kw):
         raise AssertionError("formal_fundamental did work on a non-real gamma")
-    for name in ("linear_family", "formal_solution_coeffs", "_formal_numerators",
-                 "poincare_dulac"):
+    for name in ("linear_family", "formal_solution_coeffs", "_formal_numerators"):
         monkeypatch.setattr(gauge_mod, name, no_work)
     for gamma in (G(0, 1), G(1, Fraction(-1, 2))):
         with pytest.raises(DomainError, match="family parameter must be real"):
@@ -486,17 +477,91 @@ def test_formal_fundamental_matches_the_gauss_recurrence(gamma):
             _coeffs_by_gauss_recurrence(gamma, order))))
 
 
+def _is_euler(nf, lam, order):
+    """Is nf the Euler system t y' = diag(lam) y up to degree ``order``?"""
+    return nf.pole == 1 and all(
+        nf.A[i, j].equal_mod(USeries.constant(lam[i] if i == j else 0, "t", order + 1), order)
+        for i in range(2) for j in range(2))
+
+
 def test_monodromy_trivial_family():
     for gamma in (0, 1, 5):
         rep = monodromy_at_infinity(to_system(linear_family(gamma, trunc=16)))
-        assert rep.trivial
+        assert rep.trivial and rep.order == 1
         assert rep.eigenvalues == (G(0), G(1))
         assert rep.obstructions == ()
-        nf = rep.normal_form
-        assert nf.pole == 1
-        assert nf.A[0, 0].is_zero() and nf.A[0, 1].is_zero() \
-            and nf.A[1, 0].is_zero()
-        assert nf.A[1, 1].equal_mod(USeries.constant(1, "t", 16), rep.order)
+        pd = poincare_dulac(rep.system, 10)
+        assert pd.obstructions == ()
+        assert _is_euler(pd.normal_form, rep.eigenvalues, 10)
+
+
+def _system(pole, rows, trunc):
+    """LinSystem(pole, A) from rows of degree-ascending coefficient lists."""
+    return LinSystem(pole, Mat2(tuple(tuple(USeries("w", trunc, dict(enumerate(c)))
+                                            for c in row) for row in rows)))
+
+
+def test_monodromy_log_term_is_not_trivial():
+    # residue diag(0, 1) with a nonzero resonant entry at degree 1: a log term
+    rep = monodromy_at_infinity(_system(2, [[[0], [0]], [[1], [0, -1]]], 8))
+    assert rep.eigenvalues == (ZERO, ONE)
+    assert rep.order == 1 and not rep.trivial
+    assert rep.obstructions == ((1, (1, 0), G(-1)),)
+
+
+def test_monodromy_non_integer_eigenvalues_is_not_trivial():
+    rep = monodromy_at_infinity(_system(2, [[[0], [0]], [[0], [0, Fraction(-1, 2)]]], 8))
+    assert rep.eigenvalues == (ZERO, G(Fraction(1, 2)))
+    assert rep.order == 0 and not rep.trivial
+    assert rep.obstructions == ()
+
+
+@pytest.mark.parametrize("N, coeff", [(3, G(Fraction(-1, 4))), (5, G(Fraction(1, 64)))])
+def test_monodromy_resonance_beyond_the_w_box(N, coeff):
+    # the resonant degree N lies past the w-truncation 2 or 3; the system
+    # at infinity is a polynomial, so the verdict may not depend on it
+    for trunc in (2, 3, 16):
+        rep = monodromy_at_infinity(_system(2, [[[-1], [-1]], [[-1], [-1, -N]]], trunc))
+        assert rep.order == N and not rep.trivial
+        assert rep.obstructions == ((N, (1, 0), coeff),)
+
+
+def test_monodromy_refuses_a_system_known_below_its_pole():
+    sys_ = to_system(linear_family(1, trunc=4))
+    assert sys_.trunc < sys_.pole
+    with pytest.raises(PrecisionError, match="residue"):
+        monodromy_at_infinity(sys_)
+
+
+BENCH_GAMMAS = [-2, -1, Fraction(-2, 3), Fraction(-1, 2), Fraction(-1, 3),
+                Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), 1, 2]
+
+
+@pytest.mark.parametrize("gamma", BENCH_GAMMAS, ids=str)
+def test_monodromy_resonance_order_agrees_with_order_ten(gamma):
+    rep = monodromy_at_infinity(to_system(linear_family(gamma)))
+    pd = poincare_dulac(rep.system, 10)
+    assert rep.trivial == (all(e.is_integer() for e in rep.eigenvalues)
+                           and not pd.obstructions
+                           and _is_euler(pd.normal_form, rep.eigenvalues, 10))
+
+
+def test_monodromy_costs_no_division_and_few_products(monkeypatch):
+    sys_ = to_system(linear_family(1))
+    calls = {"mul1": 0, "invert_unit": 0}
+    mul1, invert_unit = backend.mul1, USeries.invert_unit
+
+    def count_mul1(*args):
+        calls["mul1"] += 1
+        return mul1(*args)
+
+    def count_invert(self):
+        calls["invert_unit"] += 1
+        return invert_unit(self)
+    monkeypatch.setattr(backend, "mul1", count_mul1)
+    monkeypatch.setattr(USeries, "invert_unit", count_invert)
+    assert monodromy_at_infinity(sys_).trivial
+    assert calls["invert_unit"] == 0 and 0 < calls["mul1"] < 30
 
 
 def test_companion_gauge_basics():

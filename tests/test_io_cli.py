@@ -291,6 +291,36 @@ def test_cli_divergence_table_past_the_digit_limit_exits_2(capsys):
     assert "lower --table" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["build", "pipeline"])
+def test_cli_derived_coefficient_past_the_digit_limit_exits_2(command, tmp_path, capsys):
+    # a 3,000-digit c is below the input limit, but C = -A^2/9 and the other
+    # derived coefficients have about 6,000 digits, too many to write out
+    out = tmp_path / "out"
+    argv = [command, "--a", "1", "--b", "0", "--c", "7" * 3000, "--m", "2", "--trunc", "6"]
+    argv += ["-o", str(out)] if command == "build" else ["--out-dir", str(out)]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{sys.get_int_max_str_digits()} digits" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_cli_monodromy_of_an_ode_known_below_its_pole_exits_2(tmp_path, capsys):
+    # at --trunc 4 the order-four system is known below w^3, so its
+    # residue A_3 was never read and the PASS showed eigenvalues {0, 0}
+    build = ["build", "--a", "1", "--b", "0,0,0,0,1", "--m", "4", "-o"]
+    for trunc in (4, 5):
+        assert run_cli(build + [str(tmp_path / f"m{trunc}.json"), "--trunc", str(trunc)]) == 0
+    assert run_cli(["verify", "monodromy", "--ode", str(tmp_path / "m4.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "residue A_3" in err and "Traceback" not in err
+    assert run_cli(["verify", "monodromy", "--ode", str(tmp_path / "m5.json"), "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)[0]
+    assert report["status"] == "pass" and report["residual_order"] == 1
+    assert json.loads(report["witness"])["eigenvalues"] == ["0", "1"]
+
+
 def test_cli_gauge_rejects_undecidable_order(capsys):
     # below order 5 tau = w + O(w^5) cannot fail, so the claim is refused
     assert run_cli(["verify", "gauge", "--gamma", "1", "--order", "4"]) == 2
