@@ -709,7 +709,11 @@ def monodromy_at_infinity(sys: LinSystem) -> MonodromyReport:
     box = max(trunc, order + 1)
     M = sys.A.map(lambda e: USeries("t", box, {p - 1 - d: -q for d, q in e.terms()}))
     if P is not None:
-        M = Mat2.from_consts(_const_inverse(P), "t", box) * M * Mat2.from_consts(P, "t", box)
+        # (P^-1 M P)[i][j] = sum of P^-1[i][k] P[l][j] M[k][l]: no series product
+        Pinv, zero = _const_inverse(P), USeries.zero("t", box)
+        M = Mat2([[_combine_shifted(zero, 0, [(Pinv[i][k] * P[l][j], M[k, l])
+                                              for k in range(2) for l in range(2)], box)
+                   for j in range(2)] for i in range(2)])
     system = LinSystem(1, M)
     pd = poincare_dulac(system, order)
     trivial = all(e.is_integer() for e in lam) and not pd.obstructions

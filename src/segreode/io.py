@@ -38,9 +38,13 @@ def gauss_from_json(obj) -> GaussRational:
 
 # -- series ------------------------------------------------------------
 
+def _terms_to_json(terms):
+    """The term list of a series or polynomial record, from (deg, coefficient) pairs."""
+    return [{"deg": d, "coeff": gauss_to_json(q)} for d, q in terms]
+
+
 def useries_to_json(s: USeries):
-    return {"var": s.var, "trunc": s.trunc,
-            "terms": [{"deg": d, "coeff": gauss_to_json(q)} for d, q in s.terms()]}
+    return {"var": s.var, "trunc": s.trunc, "terms": _terms_to_json(s.terms())}
 
 
 def useries_from_json(obj) -> USeries:
@@ -52,14 +56,14 @@ def useries_from_json(obj) -> USeries:
 
 
 def ulaurent_to_json(s: ULaurent):
-    return {"var": s.var, "pole": s.pole, "trunc": s.trunc_abs(),
-            "terms": [{"deg": d, "coeff": gauss_to_json(q)} for d, q in s.terms()]}
+    # key order kept: `verify riccati` prints this record unsorted
+    return {"var": s.var, "pole": s.pole, "trunc": s.trunc,
+            "terms": _terms_to_json(s.terms())}
 
 
 def triseries_to_json(s: TriSeries):
     return {"vars": list(s.vars), "trunc": list(s.truncs),
-            "terms": [{"deg": list(deg), "coeff": gauss_to_json(q)}
-                      for deg, q in s.terms()]}
+            "terms": _terms_to_json((list(deg), q) for deg, q in s.terms())}
 
 
 # -- domain objects ------------------------------------------------------
@@ -116,8 +120,7 @@ def hyperjet_to_json(jet):
 
 
 def bipoly_to_json(p):
-    return {"terms": [{"deg": [i, j], "coeff": gauss_to_json(q)}
-                      for (i, j), q in sorted(p.coeffs.items())]}
+    return {"terms": _terms_to_json((list(deg), q) for deg, q in sorted(p.coeffs.items()))}
 
 
 def bipoly_from_json(obj):

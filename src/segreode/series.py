@@ -7,7 +7,7 @@ and the rational reduction (content gcd) happens once per operation.
 Coefficient access converts to :class:`~segreode.scalars.GaussRational`
 on demand.
 
-One core, two arities.  ``_Series`` holds the variable names ``vars``,
+One core, three kinds.  ``_Series`` holds the variable names ``vars``,
 one truncation per variable ``truncs``, the coefficient dict ``coeffs``
 and the denominator ``den``: an exact representative modulo every
 monomial outside the box ``truncs``.  A key is the degree for one
@@ -19,12 +19,15 @@ the box test.  The core implements construction, ``==``, ``+``, ``-``,
 componentwise minimum of the operand boxes; derivatives lower the
 truncation of their axis by one.
 
-``USeries`` (one variable: ``var``, ``trunc``) adds coefficients by
-degree, derivative and shifts, ``invert_unit``, ``log``, binomial
-powers and composition (``eval_at``); ``ULaurent`` wraps it with a
-pole.  ``TriSeries`` (three variables) adds coefficients by exponent
-triple, partial derivatives, ``subst_eta``, ``swap_zx``, ``slice_eta``
-and ``integrate_z``.
+``USeries`` and ``ULaurent`` share ``var``, ``trunc``, coefficients
+by degree, the derivative and ``repr``.  ``USeries`` adds shifts,
+``invert_unit``, ``log``, binomial powers and composition
+(``eval_at``).  ``ULaurent`` stores negative degrees too; its
+truncation is absolute (exact below var**trunc), and its product,
+exact below min(t1 - p2, t2 - p1) for truncations t and poles p, is
+its own, as are ``invert`` and negative powers.  ``TriSeries`` (three
+variables) adds coefficients by exponent triple, partial derivatives,
+``subst_eta``, ``swap_zx``, ``slice_eta`` and ``integrate_z``.
 """
 
 from __future__ import annotations
@@ -150,11 +153,16 @@ def _scale_coeffs(coeffs, a, b):
     return {k: (x * a - y * b, x * b + y * a) for k, (x, y) in coeffs.items()}
 
 
+def _shift(coeffs, n):
+    """``coeffs`` with every degree raised by n (the same dict for n = 0)."""
+    return {k + n: v for k, v in coeffs.items()} if n else coeffs
+
+
 class _Series:
-    """The ring both arities share: stored keys lie inside the box and
+    """The ring every series kind shares: stored keys lie inside the box and
     (coeffs, den) is primitive, so equal series have equal attributes.
-    Each subclass binds ``_add``, ``_mul``, ``_exp`` and ``_pow_int`` in
-    its own namespace, where ``perfbench/tracer.py`` wraps them."""
+    Each kind binds those of ``_add``, ``_mul``, ``_exp`` and ``_pow_int``
+    it offers in its own namespace, where ``perfbench/tracer.py`` wraps them."""
 
     __slots__ = ("vars", "truncs", "coeffs", "den")
 
@@ -312,7 +320,38 @@ class _Series:
             base = base * base
 
 
-class USeries(_Series):
+class _Univariate(_Series):
+    """What ``USeries`` and ``ULaurent`` share: keys are degrees in ``var``,
+    exact below ``trunc``."""
+
+    __slots__ = ()
+
+    var = property(lambda self: self.vars[0])
+    trunc = property(lambda self: self.truncs[0])
+
+    def coeff(self, d) -> GaussRational:
+        return _gauss(self.coeffs.get(d), self.den)
+
+    def terms(self):
+        for d in sorted(self.coeffs):
+            yield d, _gauss(self.coeffs[d], self.den)
+
+    def order(self):
+        """Smallest stored degree, or None for the (truncated) zero series."""
+        return min(self.coeffs) if self.coeffs else None
+
+    def derivative(self):
+        cf = {k - 1: (k * a, k * b) for k, (a, b) in self.coeffs.items() if k}
+        return self._raw(self.vars, (self.trunc - 1,), cf, self.den)
+
+    def __repr__(self):
+        if not self.coeffs:
+            return f"O({self.var}^{self.trunc})"
+        parts = [_term_str(d, q, self.var) for d, q in self.terms()]
+        return " + ".join(parts) + f" + O({self.var}^{self.trunc})"
+
+
+class USeries(_Univariate):
     """Truncated power series in one variable over Q(i)."""
 
     __slots__ = ()
@@ -323,9 +362,6 @@ class USeries(_Series):
             raise StructureError("negative degree in USeries (use ULaurent)")
         self._set_terms((var,), (trunc,),
                         ((d, q) for d, q in terms.items() if d < trunc) if terms else ())
-
-    var = property(lambda self: self.vars[0])
-    trunc = property(lambda self: self.truncs[0])
 
     __add__ = __radd__ = _Series._add
     __mul__ = __rmul__ = _Series._mul
@@ -346,17 +382,6 @@ class USeries(_Series):
 
     # -- inspection ----------------------------------------------------
 
-    def coeff(self, d) -> GaussRational:
-        return _gauss(self.coeffs.get(d), self.den)
-
-    def terms(self):
-        for d in sorted(self.coeffs):
-            yield d, _gauss(self.coeffs[d], self.den)
-
-    def order(self):
-        """Smallest stored degree, or None for the (truncated) zero series."""
-        return min(self.coeffs) if self.coeffs else None
-
     def equal_mod(self, other, n=None):
         """Coefficientwise equality up to degree n (default: common trunc)."""
         lim = min(self.trunc, other.trunc)
@@ -364,21 +389,15 @@ class USeries(_Series):
             lim = min(lim, n)
         return (self - other).truncate(lim).is_zero()
 
-    def derivative(self):
-        cf = {k - 1: (k * a, k * b) for k, (a, b) in self.coeffs.items() if k > 0}
-        return USeries._raw(self.vars, (self.trunc - 1,), cf, self.den)
-
     def shift_up(self, n):
         """Multiply by var**n exactly (truncation grows with the shift)."""
-        return USeries._raw(self.vars, (self.trunc + n,),
-                            {k + n: v for k, v in self.coeffs.items()}, self.den)
+        return USeries._raw(self.vars, (self.trunc + n,), _shift(self.coeffs, n), self.den)
 
     def divide_monomial(self, n):
         """Exact division by var**n; DomainError if a lower term survives."""
         if any(k < n for k in self.coeffs):
             raise DomainError(f"series not divisible by {self.var}^{n}")
-        return USeries._raw(self.vars, (self.trunc - n,),
-                            {k - n: v for k, v in self.coeffs.items()}, self.den)
+        return USeries._raw(self.vars, (self.trunc - n,), _shift(self.coeffs, -n), self.den)
 
     def _integral(self):
         """Antiderivative with zero constant term (truncation grows by one)."""
@@ -438,12 +457,6 @@ class USeries(_Series):
         truncation there; on the other axes it keeps t's box.
         """
         return _compose((self,), t)[0]
-
-    def __repr__(self):
-        if not self.coeffs:
-            return f"O({self.var}^{self.trunc})"
-        parts = [_term_str(d, q, self.var) for d, q in self.terms()]
-        return " + ".join(parts) + f" + O({self.var}^{self.trunc})"
 
 
 def _exp_graded(coeffs, den, grade, ngrades, mul):
@@ -582,130 +595,63 @@ def _term_str(d, q, var):
     return f"{q.as_factor_str()}*{mono}"
 
 
-class ULaurent:
-    """body / var**pole with pole >= 0 kept minimal."""
+class ULaurent(_Univariate):
+    """Truncated Laurent series in one variable over Q(i).
 
-    __slots__ = ("pole", "body")
+    Keys are the degrees themselves, negative ones included, and
+    ``trunc`` is absolute: the series is exact below var**trunc.
+    ``pole`` is max(0, -order) and ``body`` the power series
+    var**pole * self.  A product is exact below min(t1 - p2, t2 - p1),
+    with t each factor's truncation and p its pole.
+    """
+
+    __slots__ = ()
 
     def __init__(self, body: USeries, pole: int = 0):
-        if pole < 0:
-            body = body.shift_up(-pole)
-            pole = 0
-        v = body.order()
-        if v is None:
-            # zero, known below degree body.trunc - pole; kept at pole 0
-            body = body.truncate(body.trunc - pole)
-            pole = 0
-        else:
-            drop = min(v, pole)
-            if drop:
-                body = body.divide_monomial(drop)
-                pole -= drop
-        self.pole = pole
-        self.body = body
+        """body / var**pole."""
+        self.vars, self.truncs, self.den = body.vars, (body.trunc - pole,), body.den
+        self.coeffs = _shift(body.coeffs, -pole)
+
+    __add__ = __radd__ = _Series._add
 
     @classmethod
     def zero(cls, var="w", trunc=16):
-        return cls(USeries.zero(var, trunc), 0)
+        return cls(USeries.zero(var, trunc))
 
     @classmethod
     def monomial(cls, deg, q=1, var="w", trunc=16):
-        if deg >= 0:
-            return cls(USeries.monomial(deg, q, var, trunc), 0)
-        return cls(USeries.monomial(0, q, var, trunc), -deg)
+        """q var**deg, exact below var**(trunc + min(deg, 0))."""
+        return cls(USeries.monomial(max(deg, 0), q, var, trunc), max(-deg, 0))
+
+    pole = property(lambda self: max(0, -min(self.coeffs, default=0)))
 
     @property
-    def var(self):
-        return self.body.var
-
-    def coeff(self, d) -> GaussRational:
-        return self.body.coeff(d + self.pole)
-
-    def terms(self):
-        for d, q in self.body.terms():
-            yield d - self.pole, q
-
-    def is_zero(self):
-        return self.body.is_zero()
-
-    def order(self):
-        o = self.body.order()
-        return None if o is None else o - self.pole
-
-    def trunc_abs(self):
-        """Validity bound: the series is exact below degree trunc_abs."""
-        return self.body.trunc - self.pole
-
-    def __eq__(self, other):
-        if not isinstance(other, ULaurent):
-            return NotImplemented
-        return self.pole == other.pole and self.body == other.body
-
-    __hash__ = None
-
-    def _align(self, other):
-        p = max(self.pole, other.pole)
-        return p, self.body.shift_up(p - self.pole), other.body.shift_up(p - other.pole)
-
-    def __add__(self, other):
-        if isinstance(other, _SCALARS):
-            other = ULaurent(self.body._const(other))
-        if not isinstance(other, ULaurent):
-            return NotImplemented
-        p, b1, b2 = self._align(other)
-        return ULaurent(b1 + b2, p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, ULaurent):
-            return self + (-other)
-        return self + (GaussRational(0) - other)
-
-    def __neg__(self):
-        return ULaurent(-self.body, self.pole)
+    def body(self):
+        p = self.pole
+        return USeries._raw(self.vars, (self.trunc + p,), _shift(self.coeffs, p), self.den)
 
     def __mul__(self, other):
-        if isinstance(other, _SCALARS):
-            return ULaurent(self.body * other, self.pole)
-        if isinstance(other, USeries):
-            other = ULaurent(other)
-        if not isinstance(other, ULaurent):
-            return NotImplemented
-        return ULaurent(self.body * other.body, self.pole + other.pole)
+        if type(other) is not ULaurent:
+            return self._mul(other)                 # a scalar, or NotImplemented
+        self._check(other)
+        p1, p2 = self.pole, other.pole
+        trunc = min(self.trunc - p2, other.trunc - p1)
+        # the kernel sees the bodies: no negative degree
+        cf = _product(_shift(self.coeffs, p1), _shift(other.coeffs, p2), (trunc + p1 + p2,))
+        return self._raw(self.vars, (trunc,), _shift(cf, -p1 - p2), self.den * other.den)
 
     __rmul__ = __mul__
 
-    def derivative(self):
-        # d/dw (b / w^p) = (b' w - p b) / w^(p+1)
-        num = self.body.derivative().shift_up(1) - self.body * self.pole
-        return ULaurent(num, self.pole + 1)
-
     def invert(self):
+        """1/self, exact below trunc - 2v for v the order of self."""
         if self.is_zero():
             raise DomainError("cannot invert the zero Laurent series")
-        v = self.body.order()
-        unit = self.body.divide_monomial(v)
-        return ULaurent(unit.invert_unit().shift_up(self.pole), v)
+        v = self.order()
+        unit = USeries._raw(self.vars, (self.trunc - v,), _shift(self.coeffs, -v), self.den)
+        return ULaurent(unit.invert_unit(), v)
 
     def pow_int(self, n):
-        if n == 0:
-            return ULaurent(USeries.constant(1, self.var, self.body.trunc), 0)
-        if n < 0:
-            return self.invert().pow_int(-n)
-        return ULaurent(self.body.pow_int(n), self.pole * n)
-
-    def truncate_abs(self, n):
-        return ULaurent(self.body.truncate(n + self.pole), self.pole)
-
-    def conjugate(self):
-        return ULaurent(self.body.conjugate(), self.pole)
-
-    def __repr__(self):
-        if self.is_zero():
-            return f"O({self.var}^{self.trunc_abs()})"
-        parts = [_term_str(d, q, self.var) for d, q in self.terms()]
-        return " + ".join(parts) + f" + O({self.var}^{self.trunc_abs()})"
+        return self.invert()._pow_int(-n) if n < 0 else self._pow_int(n)
 
 
 class TriSeries(_Series):

@@ -12,11 +12,15 @@ are parsed, not imported or executed.
 
 import ast
 import importlib
+from itertools import chain
 from pathlib import Path
 
 import pytest
 
-from segreode import backend, series
+from segreode import backend, gauge, io, series
+from segreode.odes import tresse_l2
+from segreode.scalars import GaussRational
+from segreode.segre import RealStructureData, build_real
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACER = PERFBENCH / "tracer.py"
@@ -150,3 +154,31 @@ def test_per_layer_metrics_name_functions_the_tracer_wraps():
         fn = getattr(module, attr, None)
         # the tracer wraps a layer's public functions defined in that module
         assert callable(fn) and fn.__module__ == module.__name__, name
+
+
+def test_univariate_kernel_sees_no_negative_degree(monkeypatch):
+    """The tracer's ``kept_pairs_1`` indexes a histogram by degree, so
+    ``backend.mul1`` must only get degrees >= 0, Laurent products included."""
+    lowest = []
+    mul1 = backend.mul1
+
+    def spy(ca, cb, trunc):
+        lowest.append(min(chain(ca, cb), default=0))
+        return mul1(ca, cb, trunc)
+    monkeypatch.setattr(backend, "mul1", spy)
+    p = io.parse_monomial_expr("2i*w^-4", trunc=16)
+    for g in (0, 1):
+        gauge.riccati_check(gauge.linear_family(g, trunc=16), p)
+    straight = gauge.gauge_chi_tau(*gauge.formal_fundamental(1, 10))
+    base, target = gauge.linear_family(0, trunc=14), gauge.linear_family(1, trunc=14)
+    gauge.transform_ode_by_gauge(base, straight, target=target)
+    gauge.transform_ode_by_gauge(target, straight, target=base, direction="pushforward")
+    ode = build_real(RealStructureData(a=series.USeries.constant(1, "w", 12),
+                                       b=series.USeries("w", 12, {1: 1, 4: 1}),
+                                       c=series.USeries.constant(GaussRational(1, 1), "w", 12),
+                                       m=2))
+    tresse_l2(ode.rhs_poly())
+    x = series.ULaurent.monomial(-3, 2, trunc=10) + series.ULaurent.monomial(1, 1, trunc=10)
+    x.invert()
+    x.pow_int(-3)
+    assert lowest and min(lowest) >= 0

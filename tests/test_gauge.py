@@ -237,7 +237,7 @@ def test_second_solution_solves_ode():
            + gt.derivative() * p_exp * 2
            + gt * (p_exp.derivative() + p_exp * p_exp))
     rhs = P * (gt.derivative() + gt * p_exp) + Q * gt
-    assert (lhs - rhs).truncate_abs(7).is_zero()
+    assert (lhs - rhs).truncate(7).is_zero()
 
 
 def test_gauge_chi_tau_shapes():
@@ -345,8 +345,8 @@ def test_transform_functoriality():
     mid = _as_linear_ode(once, 16)
     twice = transform_ode_by_gauge(mid, f1)
     composed = transform_ode_by_gauge(ode, f2.compose(f1))
-    assert (twice.P - composed.P).truncate_abs(8).is_zero()
-    assert (twice.Q - composed.Q).truncate_abs(8).is_zero()
+    assert (twice.P - composed.P).truncate(8).is_zero()
+    assert (twice.Q - composed.Q).truncate(8).is_zero()
 
 
 def _as_linear_ode(moved, trunc):
@@ -561,7 +561,7 @@ def test_monodromy_costs_no_division_and_few_products(monkeypatch):
     monkeypatch.setattr(backend, "mul1", count_mul1)
     monkeypatch.setattr(USeries, "invert_unit", count_invert)
     assert monodromy_at_infinity(sys_).trivial
-    assert calls["invert_unit"] == 0 and 0 < calls["mul1"] < 30
+    assert calls["invert_unit"] == 0 and calls["mul1"] == 0
 
 
 def test_companion_gauge_basics():
@@ -684,7 +684,7 @@ def _parts(moved):
 def _assert_same_transport(got, want):
     """Equal Laurent data, pole and truncation included."""
     for a, b in zip(_parts(got), _parts(want)):
-        assert a == b and (a is None or a.trunc_abs() == b.trunc_abs())
+        assert a == b and (a is None or a.trunc == b.trunc)
 
 
 @pytest.mark.parametrize("order", [8, 16, 48])
@@ -730,10 +730,10 @@ def test_transport_along_random_gauges_matches_oracles():
             # with g^-1 rather than after it, the chain rule on the w-side
             # keeps more coefficients than the route through the inverse
             for a, b in zip(_parts(got), _parts(want)):
-                assert a.trunc_abs() >= b.trunc_abs()
-                assert (a - b).truncate_abs(b.trunc_abs()).is_zero()
+                assert a.trunc >= b.trunc
+                assert (a - b).truncate(b.trunc).is_zero()
             for a, b in zip((got.P, got.Q), (exact.P, exact.Q)):
-                assert (a - b).truncate_abs(a.trunc_abs()).is_zero()
+                assert (a - b).truncate(a.trunc).is_zero()
 
 
 def test_pushforward_undoes_pullback():
@@ -743,10 +743,10 @@ def test_pushforward_undoes_pullback():
     pulled = transform_ode_by_gauge(ode, F)
     back = transform_ode_by_gauge(_as_linear_ode(pulled, 30), F, direction="pushforward")
     P, Q = ode.first_order_coeffs()
-    n = min(back.P.trunc_abs(), back.Q.trunc_abs())
+    n = min(back.P.trunc, back.Q.trunc)
     assert n >= 8
-    assert (back.P - P).truncate_abs(n).is_zero()
-    assert (back.Q - Q).truncate_abs(n).is_zero()
+    assert (back.P - P).truncate(n).is_zero()
+    assert (back.Q - Q).truncate(n).is_zero()
 
 
 def test_transport_rejects_unknown_direction():

@@ -190,8 +190,8 @@ def test_laurent_normalization_and_pow():
     x = ULaurent(USeries.monomial(2, 3, trunc=10), 5)
     assert x.pole == 3 and x.body.coeff(0) == GaussRational(3)
     y = ULaurent.monomial(-2, 2, trunc=12)
-    assert (y.pow_int(-1) * y).truncate_abs(6) == \
-        ULaurent.monomial(0, 1, trunc=12).truncate_abs(6)
+    assert (y.pow_int(-1) * y).truncate(6) == \
+        ULaurent.monomial(0, 1, trunc=12).truncate(6)
     z = ULaurent(one + w)
     assert (z.invert() * z).body.equal_mod(one)
 
@@ -199,13 +199,13 @@ def test_laurent_normalization_and_pow():
 def test_zero_laurent_keeps_its_absolute_truncation():
     # 0/w^8 with a body known modulo w^14 is known modulo w^6 only
     zero = ULaurent(USeries.zero(trunc=14), 8)
-    assert zero.is_zero() and zero.pole == 0 and zero.trunc_abs() == 6
+    assert zero.is_zero() and zero.pole == 0 and zero.trunc == 6
     assert repr(zero) == "O(w^6)"
     assert zero == ULaurent(USeries.zero(trunc=6)) == ULaurent(USeries.zero(trunc=9), 3)
     assert zero != ULaurent.zero(trunc=14)
     x = ULaurent(USeries.monomial(0, 1, trunc=10), 4)     # w^-4 + O(w^6)
-    assert (x - x).trunc_abs() == 6
-    assert (x - x).derivative().trunc_abs() == 5
+    assert (x - x).trunc == 6
+    assert (x - x).derivative().trunc == 5
     # Q = E/w^8 of the gamma = 0 family, with E = 0 known modulo w^14
     Q = linear_family(0, trunc=14).first_order_coeffs()[1]
     assert Q == zero and repr(Q) == "O(w^6)"
@@ -557,3 +557,72 @@ def test_univariate_ops_against_sympy(seed):
         _sympy_coeffs(sympy.cancel((x / gsym) ** n), x, n)[n - 1] / n
         for n in range(1, h.trunc)]
     _assert_matches(h, ref)
+
+
+def _laurent_sample(rng, q, v):
+    """A Laurent series with lowest degree v, known below a degree 1 to 5 past v."""
+    trunc = v + rng.randint(1, 5)
+    terms = {d: q() for d in range(v + 1, trunc) if rng.random() < 0.7}
+    terms[v] = GaussRational(rng.randint(1, 3), rng.randint(-3, 3))
+    p = max(-v, 0)
+    return ULaurent(USeries("w", trunc + p, {d + p: c for d, c in terms.items()}), p)
+
+
+def _product_trunc(a, b):
+    """min(t1 - p2, t2 - p1): where a product of two Laurent series stops being exact."""
+    return min(a.trunc - b.pole, b.trunc - a.pole)
+
+
+def _power_trunc(s, n):
+    """The truncation of s**n by the product rule, multiplying by s n - 1 times."""
+    t = s.trunc
+    for k in range(1, n):
+        t = min(t - s.pole, s.trunc - k * s.pole)
+    return t
+
+
+def _assert_laurent_matches(got, expr, trunc):
+    """got is known below ``trunc`` and agrees there with the expansion of expr."""
+    import sympy
+    x = sympy.Symbol("w")
+    low = -16                                   # below every pole the samples reach
+    assert got.trunc == trunc
+    ref = _sympy_coeffs(expr * x ** -low, x, trunc - low) if trunc > low else []
+    for d, want in enumerate(ref, low):
+        assert sympy.expand(want - _sym(got.coeff(d))) == 0, d
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_laurent_ops_against_sympy(seed):
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(seed)
+
+    def q():
+        return GaussRational(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                             Fraction(rng.randint(-3, 3), rng.randint(1, 3)))
+    # lowest degrees -4..2, so poles 0..4
+    a = _laurent_sample(rng, q, seed % 7 - 4)
+    b = _laurent_sample(rng, q, rng.randint(-4, 2))
+    x = sympy.Symbol("w")
+    asym = sum(_sym(c) * x ** d for d, c in a.terms())
+    bsym = sum(_sym(c) * x ** d for d, c in b.terms())
+    inv = a.invert()
+    ops = {
+        "add": (lambda s, t: s + t, asym + bsym, min(a.trunc, b.trunc)),
+        "sub": (lambda s, t: s - t, asym - bsym, min(a.trunc, b.trunc)),
+        "mul": (lambda s, t: s * t, asym * bsym, _product_trunc(a, b)),
+        "derivative": (lambda s, t: s.derivative(), sympy.diff(asym, x), a.trunc - 1),
+        "invert": (lambda s, t: s.invert(), 1 / asym, a.trunc - 2 * a.order()),
+    }
+    for n in (1, 2, 3):
+        ops[f"pow{n}"] = (lambda s, t, n=n: s.pow_int(n), asym ** n, _power_trunc(a, n))
+        ops[f"pow{-n}"] = (lambda s, t, n=n: s.pow_int(-n), asym ** -n,
+                           _power_trunc(inv, n))
+    for name, (op, expr, trunc) in ops.items():
+        got = op(a, b)
+        _assert_laurent_matches(got, expr, trunc)
+        # honest truncation: inputs known to fewer terms give a prefix of got
+        cut_a = a.truncate(rng.randint(a.order() + 1, a.trunc))
+        cut_b = b.truncate(rng.randint(b.order() + 1, b.trunc))
+        cut = op(cut_a, cut_b)
+        assert cut.trunc <= got.trunc and cut == got.truncate(cut.trunc), name
