@@ -3,7 +3,9 @@
 Exit codes: 0 all checks passed, 1 at least one check failed,
 2 invalid input (parse error, missing file, bad flags).  ``--json``
 switches the report stream to the structured form.  The default
-truncation honors the SEGREODE_TRUNC environment variable.
+truncation of ``build`` and ``pipeline`` honors the SEGREODE_TRUNC
+environment variable; ``verify reality`` and ``verify segre-residual``
+default to the truncation of their ODE file.
 
 Each ``verify`` check takes only the flags its verifier reads
 (``VERIFY_CHECKS``); any other flag is a usage error, which exits 2 like
@@ -11,9 +13,12 @@ every input error.
 
 Each claim is decided by one ``check_*`` function over in-memory
 objects; ``verify`` (after loading its input) and ``pipeline`` both call
-them, so a claim reads the same on either path.  ``segreode.gauge`` is
-imported only inside the verifiers that use it, so ``build``,
-``pipeline`` and the Segre checks start without it.
+them, so a claim reads the same on either path.
+
+Each command imports only what it runs: ``segreode.gauge`` inside the
+verifiers that use it, ``segreode.hypersurface`` inside ``verify
+tangency`` and ``pipeline``, and ``hashlib`` inside ``io.sha256_of``, so
+``build`` and the ODE and Segre checks start without them.
 """
 
 from __future__ import annotations
@@ -25,15 +30,13 @@ import sys
 
 from . import __version__
 from .errors import DomainError, SegreOdeError
-from .hypersurface import (build_hypersurface, reality_verify,
-                           sphere_pushforward_fields, tangency_check)
 from .io import (Report, dumps_canonical, field_from_json, hyperjet_to_json,
                  ode_from_json, ode_to_json, parse_coeff_list,
                  parse_monomial_expr, phi_to_json, sha256_of,
                  ulaurent_to_json)
 from .odes import P0Ode, tresse, validate_p0
 from .scalars import GaussRational, parse_gauss
-from .segre import (RealStructureData, build_real, extract_real,
+from .segre import (RealStructureData, build_real, extract_real, family_reality,
                     family_residual, reality_check, solve_phi)
 from .series import USeries
 
@@ -121,8 +124,8 @@ def check_semi_invariant(ode, name):
                                         for (i, j), c in val.coeffs.items()}))
 
 
-def check_real_structure(ode, m, truncs, sign=1):
-    rep = reality_check(ode, m, sign, truncs=truncs)
+def check_real_structure(rep):
+    """Claim ``real-structure`` from a ``reality_check``/``family_reality`` report."""
     return _verdict("real-structure", rep.ok, lambda: str(rep),
                     residual_order=rep.checked_order)
 
@@ -135,11 +138,13 @@ def check_family_residual(ode, phi):
 
 
 def check_defining_series_reality(jet):
+    from .hypersurface import reality_verify
     rep = reality_verify(jet)
     return _verdict("defining-series-reality", rep.ok, lambda: str(rep))
 
 
 def check_tangency(jet, name, field):
+    from .hypersurface import tangency_check
     rep = tangency_check(jet, field)
     return _verdict(f"tangency-field-{name}", rep.ok, lambda: repr(rep.residual),
                     residual_order=rep.residual_order())
@@ -181,14 +186,14 @@ def verify_tresse(args):
 
 def verify_reality(args):
     ode = load_ode(args.ode)
-    return [check_real_structure(ode, _family_order(args, ode), _phi_truncs(args),
-                                 args.sign)]
+    return [check_real_structure(reality_check(
+        ode, _family_order(args, ode), args.sign, _phi_truncs(args, ode.trunc)))]
 
 
 def verify_segre_residual(args):
     ode = load_ode(args.ode)
     phi = solve_phi(ode, _family_order(args, ode), args.sign,
-                    truncs=_phi_truncs(args))
+                    truncs=_phi_truncs(args, ode.trunc))
     return [check_family_residual(ode, phi)]
 
 
@@ -272,13 +277,14 @@ def verify_gauge(args):
 
 
 def verify_tangency(args):
+    from .hypersurface import build_hypersurface, sphere_pushforward_fields
     if args.ode:
         ode = load_ode(args.ode)
     else:
         from .gauge import linear_family
         ode = linear_family(0, trunc=14)
     phi = solve_phi(ode, _family_order(args, ode), 1,
-                    truncs=_phi_truncs(args, default=(6, 6, 14)))
+                    truncs=_phi_truncs(args, 14, dz=6))
     jet = build_hypersurface(phi)
     out = [check_defining_series_reality(jet)]
     if args.field:
@@ -335,6 +341,7 @@ def cmd_verify(args):
 
 def cmd_pipeline(args):
     """Run the chain, then write every artifact; a failing stage writes none."""
+    from .hypersurface import build_hypersurface
     trunc = resolve_trunc(args.trunc)
     dz = resolve_dz(args.dz, 5)
     outdir = args.out_dir
@@ -344,11 +351,10 @@ def cmd_pipeline(args):
     texts["ode.json"] = dumps_canonical(ode_to_json(ode))
     reports = [check_structural_relations(ode), check_semi_invariant(ode, "L2")]
 
-    truncs = (dz, dz, trunc)
-    phi = solve_phi(ode, args.m, 1, truncs=truncs)
+    phi = solve_phi(ode, args.m, 1, truncs=(dz, dz, trunc))
     texts["family.json"] = dumps_canonical(phi_to_json(phi))
     reports += [check_family_residual(ode, phi),
-                check_real_structure(ode, args.m, truncs)]
+                check_real_structure(family_reality(phi))]
 
     jet = build_hypersurface(phi)
     texts["hypersurface.json"] = dumps_canonical(hyperjet_to_json(jet))
@@ -391,9 +397,10 @@ def _family_order(args, ode):
     return ode.m if args.m is None else args.m
 
 
-def _phi_truncs(args, default=(5, 5, 12)):
-    dz = resolve_dz(args.dz, default[0])
-    return (dz, dz, resolve_trunc(args.trunc, default[2]))
+def _phi_truncs(args, te, dz=5):
+    """(--dz, --dz, --trunc), defaulting to (dz, dz, te)."""
+    dz = resolve_dz(args.dz, dz)
+    return (dz, dz, resolve_trunc(args.trunc, te))
 
 
 class _Parser(argparse.ArgumentParser):

@@ -23,9 +23,9 @@ oracle the tests check both against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import DomainError, InternalInconsistencyError, PrecisionError, StructureError
 from .odes import P0Ode
 from .scalars import GaussRational, gauss_sqrt_exact
@@ -102,7 +102,7 @@ class Mat2:
         return f"Mat2({self.a[0][0]!r}, {self.a[0][1]!r}; {self.a[1][0]!r}, {self.a[1][1]!r})"
 
 
-@dataclass(frozen=True)
+@record
 class LinSystem:
     """First-order system y' = w^(-pole) A(w) y."""
 
@@ -150,7 +150,7 @@ def to_system(ode: P0Ode) -> LinSystem:
     return LinSystem(m + 1, raw).normalized()
 
 
-@dataclass(frozen=True)
+@record
 class PDStep:
     kind: str          # "offdiag" | "diag"
     target_degree: int
@@ -158,7 +158,7 @@ class PDStep:
     matrix: tuple      # 2x2 GaussRational entries of the factor
 
 
-@dataclass(frozen=True)
+@record
 class PDResult:
     normal_form: LinSystem
     gauge: Mat2
@@ -381,7 +381,7 @@ def formal_fundamental(gamma, order):
     return fhat, fhat.conjugate().shift_up(1).truncate(order)
 
 
-@dataclass(frozen=True)
+@record
 class ScalarGauge:
     """(z, w) -> (z f(w), g(w)) with f a unit and g a coordinate change."""
 
@@ -460,7 +460,7 @@ def gauge_chi_tau(fhat: USeries, ghat: USeries) -> ScalarGauge:
     return ScalarGauge(chi, tau)
 
 
-@dataclass(frozen=True)
+@record
 class TransformedOde:
     """z'' = P z' + Q z carried back through a gauge, plus residual data."""
 
@@ -556,7 +556,7 @@ def _compose_laurent(laurents, g):
             for L, b in zip(laurents, bodies)]
 
 
-@dataclass(frozen=True)
+@record
 class RiccatiReport:
     ok: bool
     residual: ULaurent
@@ -580,7 +580,7 @@ def riccati_check(ode: P0Ode, p: ULaurent) -> RiccatiReport:
     return RiccatiReport(residual.is_zero(), residual)
 
 
-@dataclass(frozen=True)
+@record
 class DivergenceReport:
     gamma: GaussRational
     coeffs: tuple
@@ -656,7 +656,7 @@ def divergence_report(gamma, count=60, k_onset=10) -> DivergenceReport:
                             Fraction(*best) if best is not None else Fraction(0), best_k)
 
 
-@dataclass(frozen=True)
+@record
 class MonodromyReport:
     residue: tuple
     eigenvalues: tuple

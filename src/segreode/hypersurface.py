@@ -9,9 +9,9 @@ equation is never formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .errors import DomainError, PrecisionError, StructureError
 from .odes import Poly2
 from .scalars import GaussRational
@@ -21,7 +21,7 @@ from .series import TriSeries, _combine_shifted, _powers
 HYPER_VARS = ("z", "zbar", "wbar")
 
 
-@dataclass(frozen=True)
+@record
 class HyperJet:
     m: int
     sign: int
@@ -85,13 +85,13 @@ def build_hypersurface(phi: AdmissiblePhi) -> HyperJet:
     return HyperJet(phi.m, phi.sign, phi.family().relabel(HYPER_VARS))
 
 
-@dataclass(frozen=True)
+@record
 class RealityWitness:
     monomial: tuple
     value: GaussRational
 
 
-@dataclass(frozen=True)
+@record
 class RealityResult:
     ok: bool
     witness: RealityWitness
@@ -125,7 +125,7 @@ def reality_verify(jet: HyperJet) -> RealityResult:
     return RealityResult(False, RealityWitness(mono, value), composed.truncs)
 
 
-@dataclass(frozen=True)
+@record
 class HoloField:
     """Holomorphic vector field fz d/dz + fw d/dw, fz and fw polynomials in (z, w)."""
 
@@ -150,7 +150,7 @@ class HoloField:
                          self.apply(other.fw) - other.apply(self.fw))
 
 
-@dataclass(frozen=True)
+@record
 class TangencyResult:
     ok: bool
     residual: TriSeries

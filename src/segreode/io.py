@@ -7,15 +7,13 @@ identical inputs give byte-identical files.
 
 from __future__ import annotations
 
-import hashlib
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import DomainError, InternalInconsistencyError, StructureError
 from .odes import COEFF_NAMES, P0Ode, Poly2
 from .scalars import GaussRational, int_text, parse_gauss
-from .segre import AdmissiblePhi
 from .series import TriSeries, ULaurent, USeries
 
 FORMAT_VERSION = 1
@@ -84,7 +82,7 @@ def ode_from_json(obj) -> P0Ode:
     return P0Ode(m, *coeffs)
 
 
-def phi_to_json(phi: AdmissiblePhi):
+def phi_to_json(phi):
     slices = {}
     for (k, l, j), q in phi.phi.terms():
         slices.setdefault((k, l), {})[j] = q
@@ -97,7 +95,8 @@ def phi_to_json(phi: AdmissiblePhi):
                        for (k, l), ser in sorted(slices.items())]}
 
 
-def phi_from_json(obj) -> AdmissiblePhi:
+def phi_from_json(obj):
+    from .segre import AdmissiblePhi
     try:
         truncs = tuple(int(x) for x in obj["truncs"])
         terms = {}
@@ -146,7 +145,7 @@ def field_from_json(obj):
 
 # -- reports -------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record
 class Report:
     """One verification outcome: machine-readable and printable."""
 
@@ -180,6 +179,7 @@ def dumps_canonical(obj) -> str:
 
 
 def sha256_of(text: str) -> str:
+    import hashlib
     return hashlib.sha256(text.encode()).hexdigest()
 
 

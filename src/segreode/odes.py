@@ -15,16 +15,16 @@ singular fiber w = 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import DomainError, StructureError
 from .series import ULaurent, USeries
 
 COEFF_NAMES = ("A", "B", "C", "D", "E", "F")
 
 
-@dataclass(frozen=True)
+@record
 class RelationViolation:
     relation: str
     residual: USeries      # the relation's left side minus its right side

@@ -15,9 +15,9 @@ TriSeries variables are the antiholomorphic parameters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import record
 from .errors import DomainError, InternalInconsistencyError, PrecisionError
 from .odes import P0Ode, structural_cd, validate_p0
 from .scalars import GaussRational, I
@@ -26,7 +26,7 @@ from .series import TriSeries, USeries, _compose
 PHI_VARS = ("z", "xi", "eta")
 
 
-@dataclass(frozen=True)
+@record
 class AdmissiblePhi:
     """Admissible family datum phi with its order m and exponent sign."""
 
@@ -65,7 +65,7 @@ class AdmissiblePhi:
         return psi.exp().mul_monomial(0, 0, 1)
 
 
-@dataclass(frozen=True)
+@record
 class RealStructureData:
     """Classification datum (a, b real series; c complex; order m)."""
 
@@ -248,14 +248,14 @@ def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
     return AdmissiblePhi(m, -s, star)
 
 
-@dataclass(frozen=True)
+@record
 class SliceMismatch:
     slice: tuple
     first_degree: int
     difference: USeries
 
 
-@dataclass(frozen=True)
+@record
 class RealityReport:
     ok: bool
     mismatches: tuple
@@ -271,32 +271,37 @@ class RealityReport:
 
 def reality_check(ode: P0Ode, m: int, sign: int = 1,
                   truncs=(5, 5, 12)) -> RealityReport:
-    """Dual-equals-conjugate criterion on the four decisive slices.
+    """``family_reality`` of the family that ``solve_phi`` gives for ``ode``.
+
+    Only the slices (k, l) <= (3, 3) are read, so phi is solved on the
+    box (4, 4, te): the solve is truncation-honest, so the report is the
+    one a solve on ``truncs`` would give, checked_order at most the ODE's
+    truncation.  A box with tz or tx below 4 does not hold the slices
+    read and raises PrecisionError.  Sign -1 checks ``ode.conjugate()``;
+    whether that is the paper's criterion for the minus family is open.
+    """
+    tz, tx, te = truncs
+    if sign == -1:
+        return reality_check(ode.conjugate(), m, 1, truncs)
+    return family_reality(solve_phi(ode, m, 1, (min(tz, 4), min(tx, 4), te)))
+
+
+def family_reality(phi: AdmissiblePhi) -> RealityReport:
+    """Dual-equals-conjugate criterion on the four decisive slices of ``phi``.
 
     The family has a real structure iff the conjugated family is also a
     dual one, which for admissible families reduces to the four slice
     identities; mismatching slices are reported with their first failing
-    degree in the coefficient variable.  Only the slices (k, l) <= (3, 3)
-    are read, so phi is solved on the box (4, 4, te):
-    the solve is truncation-honest, so the report, checked_order
-    included, is the one a solve on the full box would give, and
-    checked_order is at most the ODE's truncation, as the solve's
-    eta-truncation is.  A box with tz or tx below 4 does not hold the
-    slices it reads and raises PrecisionError.  Sign -1 checks
-    ``ode.conjugate()`` at sign +1; whether that is the paper's
-    criterion for the minus family is still open.
+    degree in the coefficient variable.  ``phi`` is a solved positive
+    family whose box holds the slices (k, l) <= (3, 3); only those are
+    read, so checked_order is phi's eta-truncation whatever tz and tx.
     """
-    tz, tx, te = truncs
-    if min(tz, tx) < 4:
+    if min(phi.truncs[:2]) < 4:
         raise PrecisionError(f"reality check reads the slices (k, l) <= (3, 3);"
-                             f" the box {tuple(truncs)} does not hold them")
-    if sign == -1:
-        return reality_check(ode.conjugate(), m, 1, truncs)
-    phi = solve_phi(ode, m, 1, (4, 4, te))
-    dual = dual_phi_lowjet(phi)
+                             f" the box {phi.truncs} does not hold them")
     mism = []
     checked = None
-    for key, dser in sorted(dual.items()):
+    for key, dser in sorted(dual_phi_lowjet(phi).items()):
         cser = phi.slice(*key).conjugate()
         diff = cser - dser
         checked = diff.trunc if checked is None else min(checked, diff.trunc)
@@ -323,7 +328,7 @@ def build_real(data: RealStructureData, trunc=None) -> P0Ode:
     return P0Ode(m, A, B, *structural_cd(A, B, m), E, c.conjugate() * I)
 
 
-@dataclass(frozen=True)
+@record
 class ExtractFailure:
     condition: str
     witness: USeries

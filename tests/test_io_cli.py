@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+from segreode import cli
 from segreode.cli import check_real_structure, main
 from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
                          parse_coeff_list, parse_monomial_expr, phi_from_json,
@@ -16,8 +17,8 @@ from segreode.errors import DomainError, StructureError
 from segreode.gauge import divergence_report, linear_family
 from segreode.odes import P0Ode, Poly2
 from segreode.scalars import GaussRational
-from segreode.segre import build_real, reality_check, solve_phi
-from segreode.series import USeries
+from segreode.segre import AdmissiblePhi, build_real, reality_check, solve_phi
+from segreode.series import TriSeries, USeries
 
 from conftest import rnd_complex_series, rnd_structure_data
 
@@ -173,8 +174,31 @@ def test_cli_reality_honors_sign(tmp_path, capsys):
         run_cli(["verify", "reality", "--ode", str(ode), "--trunc", "10",
                  "--sign", str(sign), "--json"])
         got[sign] = json.loads(capsys.readouterr().out)
-        assert got[sign] == [check_real_structure(data, 1, (5, 5, 10), sign).to_json()]
+        want = check_real_structure(reality_check(data, 1, sign, (5, 5, 10)))
+        assert got[sign] == [want.to_json()]
     assert got[1] != got[-1]
+
+
+def test_segre_residual_defaults_to_the_odes_truncation(tmp_path, monkeypatch, capsys):
+    # README's E1 has m = 4 and truncation 16.  Perturbing its family by
+    # z^2 xi^2 first moves the residual at eta-degree 14, which the box
+    # (5, 5, 12) never holds: at --trunc 12 the check passes vacuously.
+    ode = tmp_path / "E1.json"
+    assert run_cli(["build", "--a", "1", "--b", "0,0,0,0,1", "--c", "0", "--m", "4",
+                    "--trunc", "16", "-o", str(ode)]) == 0
+    solve = cli.solve_phi
+
+    def bent_family(*args, **kwargs):
+        phi = solve(*args, **kwargs)
+        bump = TriSeries.monomial(2, 2, 0, 1, phi.phi.vars, phi.truncs)
+        return AdmissiblePhi(phi.m, phi.sign, phi.phi + bump)
+
+    monkeypatch.setattr(cli, "solve_phi", bent_family)
+    capsys.readouterr()
+    residual = ["verify", "segre-residual", "--ode", str(ode), "--m", "4"]
+    assert run_cli(residual) == 1
+    assert "[FAIL] family-solves-inverse-ode (residual order 14)" in capsys.readouterr().out
+    assert run_cli(residual + ["--trunc", "12"]) == 0
 
 
 def test_cli_residual_refuses_m_past_the_eta_truncation(tmp_path, capsys):
@@ -238,7 +262,7 @@ def test_cli_reality_failure_is_the_check_report(tmp_path, capsys):
     got = json.loads(capsys.readouterr().out)
     rep = reality_check(bent, 4, truncs=(5, 5, 12))
     assert not rep.ok
-    want = check_real_structure(bent, 4, (5, 5, 12))
+    want = check_real_structure(rep)
     assert (want.status, want.witness, want.residual_order) == \
         ("fail", str(rep), rep.checked_order)
     assert got == [want.to_json()]
@@ -495,15 +519,20 @@ def test_cli_entrypoint_subprocess(tmp_path):
 
 
 def test_cli_import_leaves_gauge_unloaded():
+    # What ``import segreode.cli`` itself loads: a .pth file or the test
+    # runner may have loaded some of these modules before it.
     import segreode
     src = os.path.dirname(os.path.dirname(segreode.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, segreode.cli; print('segreode.gauge' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+    code = ("import json, sys; before = set(sys.modules); import segreode.cli;"
+            " print(json.dumps(sorted(set(sys.modules) - before)))")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = set(json.loads(proc.stdout))
+    assert "segreode.cli" in loaded
+    assert not loaded & {"dataclasses", "hashlib", "segreode.hypersurface",
+                         "segreode.gauge"}
 
 
 def _readme_commands():
