@@ -291,14 +291,14 @@ def _as_gauss(gamma):
     return gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
 
 
-def linear_family(gamma, m=4, trunc=20) -> P0Ode:
-    """The one-parameter linear sextuple (a, b, c) = (1, gamma*w^m, 0)."""
+def linear_family(gamma, trunc=20) -> P0Ode:
+    """The one-parameter linear sextuple (a, b, c) = (1, gamma*w^4, 0), m = 4."""
     g = _as_gauss(gamma)
     if not g.is_real():
         raise DomainError("family parameter must be real")
     return build_real(RealStructureData(a=USeries.constant(1, "w", trunc),
-                                        b=USeries.monomial(m, g, "w", trunc),
-                                        c=USeries.zero("w", trunc), m=m))
+                                        b=USeries.monomial(4, g, "w", trunc),
+                                        c=USeries.zero("w", trunc), m=4))
 
 
 def _formal_numerators(g, count):
@@ -561,11 +561,6 @@ class RiccatiReport:
     ok: bool
     residual: ULaurent
 
-    def __str__(self):
-        if self.ok:
-            return "logarithmic-derivative witness solves the ODE exactly"
-        return f"fails: residual {self.residual!r}"
-
 
 def riccati_check(ode: P0Ode, p: ULaurent) -> RiccatiReport:
     """Does z with z'/z = p solve the linear ODE?  Exact Riccati residual.
@@ -664,12 +659,6 @@ class MonodromyReport:
     obstructions: tuple
     trivial: bool
     order: int              # the resonance order the verdict is decided at
-
-    def __str__(self):
-        ev = ", ".join(str(e) for e in self.eigenvalues)
-        verdict = "trivial" if self.trivial else "NOT shown trivial"
-        return (f"residue eigenvalues {{{ev}}}; monodromy {verdict}"
-                f" (checked to order {self.order})")
 
 
 def monodromy_at_infinity(sys: LinSystem) -> MonodromyReport:

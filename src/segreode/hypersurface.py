@@ -115,7 +115,7 @@ def reality_verify(jet: HyperJet) -> RealityResult:
     witness.
     """
     rho = jet.rho
-    inner = rho.conjugate().swap_zx().relabel(HYPER_VARS)
+    inner = rho.conjugate().swap_zx()
     composed = rho.subst_eta(inner)
     w_mono = TriSeries.monomial(0, 0, 1, 1, HYPER_VARS, composed.truncs)
     diff = composed - w_mono
@@ -156,12 +156,7 @@ class TangencyResult:
     residual: TriSeries
 
     def residual_order(self):
-        return self.residual.min_total_order()
-
-    def __str__(self):
-        if self.ok:
-            return "field is tangent modulo truncation"
-        return f"tangency fails at total order {self.residual_order()}"
+        return self.residual.order()
 
 
 def tangency_check(jet: HyperJet, X: HoloField) -> TangencyResult:

@@ -185,25 +185,25 @@ def sha256_of(text: str) -> str:
 
 # -- command-line literals -------------------------------------------------
 
-def parse_coeff_list(text: str, var="w", trunc=16) -> USeries:
-    """Degree-ascending comma list of Gaussian rationals: '1,0,-2/3,1+2i'."""
+def parse_coeff_list(text: str, trunc=16) -> USeries:
+    """Degree-ascending comma list of Gaussian rationals in w: '1,0,-2/3,1+2i'."""
     items = [parse_gauss(tok) if tok.strip() else GaussRational(0)
              for tok in text.split(",")]
-    return USeries(var, trunc, dict(enumerate(items)))
+    return USeries("w", trunc, dict(enumerate(items)))
 
 
-def parse_monomial_expr(text: str, var="w", trunc=16) -> ULaurent:
-    """Sums of monomials: '2i*w^-4 + 3 - (1+2i)*w^2'.
+def parse_monomial_expr(text: str, trunc=16) -> ULaurent:
+    """Sums of monomials in w: '2i*w^-4 + 3 - (1+2i)*w^2'.
 
     coefficient ::= gauss-literal | '(' gauss-literal ')'
-    term        ::= coefficient ['*' var ['^' int]] | var ['^' int]
+    term        ::= coefficient ['*' 'w' ['^' int]] | 'w' ['^' int]
     Complex coefficients with both parts need the parentheses.
     """
-    total = ULaurent.zero(var, trunc)
+    total = ULaurent.zero("w", trunc)
     for sign, term in _split_terms(text):
-        coeff, power = _parse_term(term.strip(), var)
+        coeff, power = _parse_term(term.strip())
         q = coeff * sign
-        total = total + ULaurent.monomial(power, q, var, trunc)
+        total = total + ULaurent.monomial(power, q, "w", trunc)
     return total
 
 
@@ -237,14 +237,14 @@ def _split_terms(text: str):
     return out
 
 
-def _parse_term(term: str, var: str):
+def _parse_term(term: str):
     if not term:
         raise DomainError("empty term in series expression")
     coeff_part, power = term, 0
-    idx = term.find(var)
+    idx = term.find("w")
     if idx >= 0 and (idx == 0 or not term[idx - 1].isalnum()):
         head = term[:idx].rstrip()
-        tail = term[idx + len(var):].strip()
+        tail = term[idx + 1:].strip()
         if head.endswith("*"):
             head = head[:-1].rstrip()
         if tail.startswith("^"):

@@ -115,13 +115,13 @@ def solve_phi(ode: P0Ode, m: int, sign: int = 1,
     A, B, C, D, E, F = (getattr(ode, n) for n in ("A", "B", "C", "D", "E", "F"))
 
     # Precision ladder: phi starts exact modulo z^2; the right-hand side
-    # loses one z-order to the derivative and integrate_z(2) gains two, so
+    # loses one z-order to the derivative and two integrals gain two, so
     # each sweep returns the exact jet one z-order wider.
     zxi = TriSeries.monomial(1, 1, 0, 1, PHI_VARS, truncs)
     phi = zxi.truncate((2, tx, te))
     while phi.truncs[0] < tz:
         rhs = _findphi_rhs(phi, m, A, B, C, D, E, F)
-        phi = zxi + rhs.integrate_z(2).truncate(truncs)
+        phi = zxi + rhs.integral().integral().truncate(truncs)
 
     return AdmissiblePhi(m, 1, phi)
 
@@ -233,7 +233,7 @@ def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
     m, s = phi.m, phi.sign
     truncs = phi.phi.truncs
     tz, tx, te = truncs
-    swapped = phi.phi.swap_zx().relabel(PHI_VARS)  # phi(xi, z, .) as a series
+    swapped = phi.phi.swap_zx()  # phi(xi, z, .) as a series
 
     def exponent(w):
         return (swapped.subst_eta(w) * w.pow_int(m - 1)) * (-I * s)
@@ -244,7 +244,7 @@ def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
         w = exponent(w.widen((side, side, te))).exp().mul_monomial(0, 0, 1)
     expo = exponent(w.widen(truncs))
 
-    star = expo.truncate((tz, tx, te - 1)).divide_eta(m - 1) * (1 / (-I * s))
+    star = expo.truncate((tz, tx, te - 1)).divide_monomial(m - 1) * (1 / (-I * s))
     return AdmissiblePhi(m, -s, star)
 
 
@@ -310,7 +310,7 @@ def family_reality(phi: AdmissiblePhi) -> RealityReport:
     return RealityReport(not mism, tuple(mism), checked)
 
 
-def build_real(data: RealStructureData, trunc=None) -> P0Ode:
+def build_real(data: RealStructureData) -> P0Ode:
     """Sextuple with an m-positive real structure from (a, b, c, m).
 
     A = 3c, B = 2ia - m w^(m-1), (C, D) = ``structural_cd(A, B, m)``,
@@ -319,8 +319,7 @@ def build_real(data: RealStructureData, trunc=None) -> P0Ode:
     in sign conventions when c is nonzero and never occurs with c = 0).
     """
     a, b, c, m = data.a, data.b, data.c, data.m
-    if trunc is None:
-        trunc = min(a.trunc, b.trunc, c.trunc)
+    trunc = min(a.trunc, b.trunc, c.trunc)
     a, b, c = a.truncate(trunc), b.truncate(trunc), c.truncate(trunc)
     A = c * 3
     B = a * (2 * I) - USeries.monomial(m - 1, m, "w", trunc)

@@ -14,20 +14,22 @@ monomial outside the box ``truncs``.  A key is the degree for one
 variable and the packed exponent triple (``pack``) for three; the
 number of variables picks the kernel (``backend.mul1``/``mul3``) and
 the box test.  The core implements construction, ``==``, ``+``, ``-``,
-``*``, ``truncate``, ``widen``, ``conjugate``, the graded ``exp``,
-``pow_int`` and ``ring_one`` once.  Binary operations work on the
-componentwise minimum of the operand boxes; derivatives lower the
-truncation of their axis by one.
+``*``, ``truncate``, ``widen``, ``conjugate``, ``order``, the partial
+``derivative``, the graded ``exp``, ``pow_int``, ``ring_one``,
+``integral`` (in the first variable) and ``divide_monomial`` (by a
+power of the last) once.  Binary operations work on the componentwise
+minimum of the operand boxes; derivatives lower the truncation of
+their axis by one.
 
 ``USeries`` and ``ULaurent`` share ``var``, ``trunc``, coefficients
-by degree, the derivative and ``repr``.  ``USeries`` adds shifts,
-``invert_unit``, ``log``, binomial powers and composition
-(``eval_at``).  ``ULaurent`` stores negative degrees too; its
-truncation is absolute (exact below var**trunc), and its product,
-exact below min(t1 - p2, t2 - p1) for truncations t and poles p, is
-its own, as are ``invert`` and negative powers.  ``TriSeries`` (three
-variables) adds coefficients by exponent triple, partial derivatives,
-``subst_eta``, ``swap_zx``, ``slice_eta`` and ``integrate_z``.
+by degree and ``repr``.  ``USeries`` adds shifts, ``invert_unit``,
+``log``, binomial powers and composition (``eval_at``).  ``ULaurent``
+stores negative degrees too, so it has no ``integral`` and no
+``divide_monomial``; its truncation is absolute (exact below
+var**trunc), and its product, exact below min(t1 - p2, t2 - p1) for
+truncations t and poles p, is its own, as are ``invert`` and negative
+powers.  ``TriSeries`` (three variables) adds coefficients by
+exponent triple, ``subst_eta``, ``swap_zx`` and ``slice_eta``.
 """
 
 from __future__ import annotations
@@ -58,6 +60,11 @@ def pack(k, l, j):
 def unpack(key):
     """(k, l, j) of a packed key (internal; the inverse of ``pack``)."""
     return key >> SHIFT1, (key >> SHIFT2) & MASK, key & MASK
+
+
+# Per variable, exponent = (key >> shift) & mask.  The first is never
+# masked, so a negative Laurent degree reads as itself.
+_FIELDS = {1: ((0, -1),), 3: ((SHIFT1, -1), (SHIFT2, MASK), (0, MASK))}
 
 
 def _checked_truncs(truncs):
@@ -161,8 +168,9 @@ def _shift(coeffs, n):
 class _Series:
     """The ring every series kind shares: stored keys lie inside the box and
     (coeffs, den) is primitive, so equal series have equal attributes.
-    Each kind binds those of ``_add``, ``_mul``, ``_exp`` and ``_pow_int``
-    it offers in its own namespace, where ``perfbench/tracer.py`` wraps them."""
+    Each kind binds those of ``_add``, ``_mul``, ``_exp``, ``_pow_int``,
+    ``_antiderivative`` and ``_divide_monomial`` it offers in its own
+    namespace, where ``perfbench/tracer.py`` wraps them."""
 
     __slots__ = ("vars", "truncs", "coeffs", "den")
 
@@ -199,6 +207,12 @@ class _Series:
 
     def is_zero(self):
         return not self.coeffs
+
+    def order(self):
+        """Lowest total degree of a stored term, or None for the (truncated) zero series."""
+        if len(self.truncs) == 1:
+            return min(self.coeffs, default=None)
+        return min((sum(unpack(key)) for key in self.coeffs), default=None)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -284,20 +298,50 @@ class _Series:
 
     # -- analytic-style operations ---------------------------------------
 
+    def derivative(self, axis=0):
+        """Partial derivative in variable ``axis``, whose truncation drops by one."""
+        shift, mask = _FIELDS[len(self.truncs)][axis]
+        one = 1 << shift
+        cf = {key - one: (e * a, e * b) for key, (a, b) in self.coeffs.items()
+              if (e := (key >> shift) & mask)}
+        truncs = self.truncs[:axis] + (self.truncs[axis] - 1,) + self.truncs[axis + 1:]
+        return self._raw(self.vars, truncs, cf, self.den)
+
+    def _antiderivative(self):
+        """Antiderivative in the first variable, zero integration constants
+        (its truncation grows by one); degree -1 has none."""
+        shift = _FIELDS[len(self.truncs)][0][0]
+        truncs = _checked_truncs((self.truncs[0] + 1,) + self.truncs[1:])
+        scale = math.lcm(*range(1, truncs[0]))
+        one = 1 << shift
+        cf = {}
+        for key, (a, b) in self.coeffs.items():
+            s = scale // ((key >> shift) + 1)
+            cf[key + one] = (a * s, b * s)
+        return self._raw(self.vars, truncs, cf, self.den * scale)
+
+    def _divide_monomial(self, n):
+        """Exact division by the last variable to the n-th power (eta**n
+        in three variables); DomainError if a lower term survives."""
+        mask = _FIELDS[len(self.truncs)][-1][1]
+        if any((key & mask) < n for key in self.coeffs):
+            raise DomainError(f"series not divisible by {self.vars[-1]}^{n}")
+        return self._raw(self.vars, self.truncs[:-1] + (self.truncs[-1] - n,),
+                         _shift(self.coeffs, -n), self.den)
+
     def _exp(self):
         """exp(self); the constant term must be 0.
 
-        Graded by degree in one variable.  In three, graded by degree in
-        the first variable when no term is free of it (the case of every
-        caller in the package), otherwise by total degree.
+        Graded by degree in the first variable when no term is free of it
+        (always in one variable, and for every caller in three), else by
+        total degree.
         """
         if not self.constant_term().is_zero():
             raise DomainError("exp: nonzero constant term")
         truncs = self.truncs
-        if len(truncs) == 1:
-            grade, ngrades = (lambda d: d), truncs[0]
-        elif all(key >> SHIFT1 for key in self.coeffs):
-            grade, ngrades = (lambda key: key >> SHIFT1), truncs[0]
+        shift = _FIELDS[len(truncs)][0][0]
+        if all(key >> shift for key in self.coeffs):
+            grade, ngrades = (lambda key: key >> shift), truncs[0]
         else:
             grade, ngrades = (lambda key: sum(unpack(key))), sum(truncs) - 2
         cf, den = _exp_graded(self.coeffs, self.den, grade, ngrades,
@@ -336,14 +380,6 @@ class _Univariate(_Series):
         for d in sorted(self.coeffs):
             yield d, _gauss(self.coeffs[d], self.den)
 
-    def order(self):
-        """Smallest stored degree, or None for the (truncated) zero series."""
-        return min(self.coeffs) if self.coeffs else None
-
-    def derivative(self):
-        cf = {k - 1: (k * a, k * b) for k, (a, b) in self.coeffs.items() if k}
-        return self._raw(self.vars, (self.trunc - 1,), cf, self.den)
-
     def __repr__(self):
         if not self.coeffs:
             return f"O({self.var}^{self.trunc})"
@@ -367,6 +403,8 @@ class USeries(_Univariate):
     __mul__ = __rmul__ = _Series._mul
     exp = _Series._exp
     pow_int = _Series._pow_int
+    integral = _Series._antiderivative
+    divide_monomial = _Series._divide_monomial
 
     @classmethod
     def zero(cls, var="w", trunc=16):
@@ -374,11 +412,11 @@ class USeries(_Univariate):
 
     @classmethod
     def constant(cls, q, var="w", trunc=16):
-        return cls(var, trunc, {0: q if isinstance(q, GaussRational) else GaussRational(q)})
+        return cls(var, trunc, {0: q})
 
     @classmethod
     def monomial(cls, deg, q=1, var="w", trunc=16):
-        return cls(var, trunc, {deg: q if isinstance(q, GaussRational) else GaussRational(q)})
+        return cls(var, trunc, {deg: q})
 
     # -- inspection ----------------------------------------------------
 
@@ -392,19 +430,6 @@ class USeries(_Univariate):
     def shift_up(self, n):
         """Multiply by var**n exactly (truncation grows with the shift)."""
         return USeries._raw(self.vars, (self.trunc + n,), _shift(self.coeffs, n), self.den)
-
-    def divide_monomial(self, n):
-        """Exact division by var**n; DomainError if a lower term survives."""
-        if any(k < n for k in self.coeffs):
-            raise DomainError(f"series not divisible by {self.var}^{n}")
-        return USeries._raw(self.vars, (self.trunc - n,), _shift(self.coeffs, -n), self.den)
-
-    def _integral(self):
-        """Antiderivative with zero constant term (truncation grows by one)."""
-        scale = math.lcm(*range(1, self.trunc + 1))
-        cf = {k + 1: (a * (scale // (k + 1)), b * (scale // (k + 1)))
-              for k, (a, b) in self.coeffs.items()}
-        return USeries._raw(self.vars, (self.trunc + 1,), cf, self.den * scale)
 
     def is_real(self):
         return all(b == 0 for _, b in self.coeffs.values())
@@ -439,7 +464,7 @@ class USeries(_Univariate):
         if self.constant_term() != GaussRational(1):
             raise DomainError("log: constant term must be 1")
         unit = self.truncate(max(self.trunc - 1, 1))     # s' is known below trunc - 1
-        return (self.derivative() * unit.invert_unit())._integral()
+        return (self.derivative() * unit.invert_unit()).integral()
 
     def pow_binomial(self, e):
         """(1 + t)**e = exp(e log(1 + t)) for exact rational e; constant term 1."""
@@ -680,14 +705,12 @@ class TriSeries(_Series):
     __mul__ = __rmul__ = _Series._mul
     exp = _Series._exp
     pow_int = _Series._pow_int
+    integral = _Series._antiderivative
+    divide_monomial = _Series._divide_monomial
 
     @classmethod
     def zero(cls, vars=("z", "xi", "eta"), truncs=(6, 6, 12)):
         return cls(vars, truncs)
-
-    @classmethod
-    def constant(cls, q, vars=("z", "xi", "eta"), truncs=(6, 6, 12)):
-        return cls(vars, truncs, {(0, 0, 0): q})
 
     @classmethod
     def monomial(cls, k, l, j, q=1, vars=("z", "xi", "eta"), truncs=(6, 6, 12)):
@@ -710,11 +733,6 @@ class TriSeries(_Series):
         """The exponent triples of ``terms()``, without their coefficients."""
         return map(unpack, sorted(self.coeffs))
 
-    def min_total_order(self):
-        if not self.coeffs:
-            return None
-        return min(sum(unpack(k)) for k in self.coeffs)
-
     def total_degree_cap(self):
         return sum(t - 1 for t in self.truncs)
 
@@ -731,48 +749,16 @@ class TriSeries(_Series):
         cf = _cut({key + shift: v for key, v in self.coeffs.items()}, self.truncs)
         return self._raw(self.vars, self.truncs, cf, self.den)
 
-    def divide_eta(self, n):
-        """Exact division by the third variable to the n-th power."""
-        if any((key & MASK) < n for key in self.coeffs):
-            raise DomainError(f"series not divisible by {self.vars[2]}^{n}")
-        cf = {key - n: v for key, v in self.coeffs.items()}
-        tz, tx, te = self.truncs
-        return self._raw(self.vars, (tz, tx, te - n), cf, self.den)
-
-    def derivative(self, axis=0):
-        shift = (SHIFT1, SHIFT2, 0)[axis]
-        cf = {}
-        for key, (a, b) in self.coeffs.items():
-            e = key >> SHIFT1 if axis == 0 else (key >> shift) & MASK
-            if e:
-                cf[key - (1 << shift)] = (e * a, e * b)
-        truncs = list(self.truncs)
-        truncs[axis] -= 1
-        return self._raw(self.vars, tuple(truncs), cf, self.den)
-
-    def integrate_z(self, times=1):
-        """Antiderivative in the first variable, zero integration constants."""
-        out = self
-        for _ in range(times):
-            tz, tx, te = out.truncs
-            truncs = _checked_truncs((tz + 1, tx, te))
-            scale = math.lcm(*range(1, tz + 2))
-            cf = {}
-            for key, (a, b) in out.coeffs.items():
-                s = scale // ((key >> SHIFT1) + 1)
-                cf[key + (1 << SHIFT1)] = (a * s, b * s)
-            out = self._raw(out.vars, truncs, cf, out.den * scale)
-        return out
-
     def swap_zx(self):
-        """Exchange the first two variables (exponents, truncations, names)."""
+        """Exchange the exponents and truncations of the first two variables;
+        the names stay, so the result reads self with its first two
+        arguments swapped."""
         cf = {}
         for key, v in self.coeffs.items():
             k, l, j = unpack(key)
             cf[pack(l, k, j)] = v
         tz, tx, te = self.truncs
-        return self._raw((self.vars[1], self.vars[0], self.vars[2]),
-                         (tx, tz, te), cf, self.den)
+        return self._raw(self.vars, (tx, tz, te), cf, self.den)
 
     def relabel(self, vars):
         return self._raw(tuple(vars), self.truncs, self.coeffs, self.den)

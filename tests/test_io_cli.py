@@ -15,6 +15,7 @@ from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
                          useries_to_json)
 from segreode.errors import DomainError, StructureError
 from segreode.gauge import divergence_report, linear_family
+from segreode.hypersurface import build_hypersurface, reality_verify
 from segreode.odes import P0Ode, Poly2
 from segreode.scalars import GaussRational
 from segreode.segre import AdmissiblePhi, build_real, reality_check, solve_phi
@@ -251,11 +252,16 @@ def test_cli_pipeline_and_verify_report_alike(tmp_path, capsys):
                     "family-solves-inverse-ode"]
 
 
-def test_cli_reality_failure_is_the_check_report(tmp_path, capsys):
+def _bent_family():
+    """The order-4 family at gamma = 1 with E -> E + i w^5: b is not real."""
     ode = linear_family(1, trunc=12)
-    bent = P0Ode(ode.m, ode.A, ode.B, ode.C, ode.D,
+    return P0Ode(ode.m, ode.A, ode.B, ode.C, ode.D,
                  ode.E + USeries.monomial(5, GaussRational(0, 1), trunc=ode.trunc),
                  ode.F)
+
+
+def test_cli_reality_failure_is_the_check_report(tmp_path, capsys):
+    bent = _bent_family()
     path = tmp_path / "bent.json"
     path.write_text(dumps_canonical(ode_to_json(bent)))
     assert run_cli(["verify", "reality", "--ode", str(path), "--json"]) == 1
@@ -266,6 +272,22 @@ def test_cli_reality_failure_is_the_check_report(tmp_path, capsys):
     assert (want.status, want.witness, want.residual_order) == \
         ("fail", str(rep), rep.checked_order)
     assert got == [want.to_json()]
+
+
+def test_defining_series_reality_failure_names_the_first_monomial():
+    jet = build_hypersurface(solve_phi(_bent_family(), 4, 1, truncs=(5, 5, 12)))
+    rep = cli.check_defining_series_reality(jet)
+    assert rep.status == "fail"
+    witness = reality_verify(jet).witness
+    (k, l, j), v = witness.monomial, witness.value
+    assert rep.witness == f"reality fails first at z^{k} zbar^{l} w^{j} with coefficient {v}"
+
+
+def test_classification_roundtrip_failure_names_b():
+    rep = cli.check_classification_roundtrip(_bent_family())
+    assert rep.status == "fail"
+    assert "b = E - i w^m a' must be real" in rep.witness
+    assert "a = " not in rep.witness and "F = " not in rep.witness
 
 
 def test_cli_verify_json_stream(tmp_path, capsys):

@@ -363,7 +363,7 @@ def test_reality_check_equals_full_box_report(structure_samples):
 def _dual_by_full_box_iteration(phi):
     """dual_phi_full without the precision ladder: every sweep on the full box."""
     m, s = phi.m, phi.sign
-    swapped = phi.phi.swap_zx().relabel(("z", "xi", "eta"))
+    swapped = phi.phi.swap_zx()
     w = TriSeries.monomial(0, 0, 1, 1, ("z", "xi", "eta"), phi.truncs)
     for _ in range(sum(phi.truncs)):
         expo = (swapped.subst_eta(w) * w.pow_int(m - 1)) * (-I * s)
@@ -373,7 +373,7 @@ def _dual_by_full_box_iteration(phi):
         w = new
     else:
         raise AssertionError("full-box iteration did not stabilize")
-    star = _horner_log(w.divide_eta(1)).divide_eta(m - 1) * (1 / (-I * s))
+    star = _horner_log(w.divide_monomial(1)).divide_monomial(m - 1) * (1 / (-I * s))
     return AdmissiblePhi(m, -s, star)
 
 
@@ -384,7 +384,7 @@ def _horner_log(s):
     total degree, so it is independent of the read-off in dual_phi_full.
     """
     t = s - s.ring_one()
-    low = t.min_total_order()
+    low = t.order()
     nmax = 1 if low is None else t.total_degree_cap() // low + 1
     acc = TriSeries.zero(s.vars, s.truncs)
     for n in range(nmax, 0, -1):
@@ -461,4 +461,4 @@ def test_solve_phi_returns_a_full_box_fixed_point(structure_samples, truncs):
                         else (phi.phi.conjugate(), ode.conjugate()))
             src = src.rescale_order(data.m)
             rhs = _findphi_rhs(pos, data.m, *(getattr(src, n) for n in "ABCDEF"))
-            assert zxi + rhs.integrate_z(2).truncate(truncs) == pos, (data.m, sign)
+            assert zxi + rhs.integral().integral().truncate(truncs) == pos, (data.m, sign)

@@ -8,7 +8,7 @@ from segreode import backend
 from segreode.errors import DomainError, StructureError
 from segreode.gauge import linear_family, reversion
 from segreode.scalars import GaussRational
-from segreode.series import TriSeries, ULaurent, USeries, _combine_shifted
+from segreode.series import TriSeries, ULaurent, USeries, _combine_shifted, _Series
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 gauss = st.builds(GaussRational, fractions, fractions)
@@ -160,9 +160,9 @@ def test_truncation_above_packed_key_bound_raises():
     assert list(top.terms()) == [((0, 0, 2**20 - 1), GaussRational(5))]
     with pytest.raises(StructureError):
         top.widen((1, 2**20 + 1, 2**20))
-    assert top.integrate_z().truncs == (2, 2**20, 2**20)
+    assert top.integral().truncs == (2, 2**20, 2**20)
     with pytest.raises(StructureError):
-        TriSeries.monomial(0, 0, 0, truncs=(2**20, 1, 1)).integrate_z()
+        TriSeries.monomial(0, 0, 0, truncs=(2**20, 1, 1)).integral()
 
 
 def test_exponents_outside_the_box_do_not_alias():
@@ -184,6 +184,61 @@ def test_divide_monomial():
         USeries.constant(2, trunc=6)
     with pytest.raises(DomainError):
         (one + w).divide_monomial(1)
+
+
+def test_each_shared_operation_has_one_definition():
+    for name in ("derivative", "order"):
+        for kind in (USeries, ULaurent, TriSeries):
+            assert [c for c in kind.__mro__ if name in vars(c)] == [_Series]
+    for name in ("integral", "divide_monomial"):
+        assert vars(USeries)[name] is vars(TriSeries)[name]
+        assert not hasattr(ULaurent, name)
+
+
+@settings(max_examples=40, deadline=None)
+@given(useries(), triseries())
+def test_integral_then_derivative_is_the_identity(u, t):
+    assert u.integral().trunc == u.trunc + 1
+    assert u.integral().derivative() == u
+    assert t.integral().truncs == (t.truncs[0] + 1,) + t.truncs[1:]
+    assert t.integral().derivative() == t
+
+
+@settings(max_examples=40, deadline=None)
+@given(useries(), triseries())
+def test_derivative_lowers_only_its_axis(u, t):
+    assert u.derivative().truncs == (u.trunc - 1,)
+    for axis in range(3):
+        truncs = list(t.truncs)
+        truncs[axis] -= 1
+        assert t.derivative(axis).truncs == tuple(truncs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(useries(), triseries(), st.integers(0, 4))
+def test_divide_monomial_is_exact_or_raises(u, t, n):
+    if any(d < n for d, _ in u.terms()):
+        with pytest.raises(DomainError):
+            u.divide_monomial(n)
+    else:
+        assert u.divide_monomial(n).shift_up(n) == u
+    if any(j < n for (_, _, j) in t.exponents()):
+        with pytest.raises(DomainError):
+            t.divide_monomial(n)
+    else:
+        q = t.divide_monomial(n)
+        assert q.truncs == t.truncs[:2] + (t.truncs[2] - n,)
+        assert q.widen(t.truncs).mul_monomial(0, 0, n) == t
+
+
+@settings(max_examples=40, deadline=None)
+@given(useries(), st.integers(0, 6), triseries())
+def test_order_is_the_lowest_total_degree(u, pole, t):
+    laurent = ULaurent(u, pole)
+    degrees = [d - pole for d, _ in u.terms()]
+    assert laurent.order() == (min(degrees) if degrees else None)
+    totals = [sum(e) for e in t.exponents()]
+    assert t.order() == (min(totals) if totals else None)
 
 
 def test_laurent_normalization_and_pow():
