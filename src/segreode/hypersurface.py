@@ -56,20 +56,21 @@ class HyperJet:
 class _TangencyContext:
     """The derivatives of rho, its powers and the products rho^j rho_z.
 
-    Powers and products are made when a field first needs them and kept
-    for the next field checked on the same jet.
+    Powers and products live on the residual box (tz - 1, tx - 1, te - 1),
+    are made when a field first needs them and are kept for the next
+    field checked on the same jet.
     """
 
     __slots__ = ("rho", "rho_z", "rho_zb", "rho_wb", "powers", "powers_rho_z")
 
     def __init__(self, rho):
-        self.rho = rho
         self.rho_z, self.rho_zb, self.rho_wb = (rho.derivative(a) for a in range(3))
-        self.powers = _powers(rho, 1)
+        self.rho = rho.truncate(tuple(t - 1 for t in rho.truncs))
+        self.powers = _powers(self.rho, 1)
         self.powers_rho_z = {0: self.rho_z}
 
     def power(self, j):
-        """rho^j; the zero series once a power vanishes in the box."""
+        """rho^j on the residual box; zero once a power vanishes there."""
         table = _powers(self.rho, j, self.powers)
         return table[j] if j < len(table) else self.rho * 0
 

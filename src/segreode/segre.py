@@ -127,22 +127,21 @@ def solve_phi(ode: P0Ode, m: int, sign: int = 1,
 
 
 def _findphi_rhs(phi, m, A, B, C, D, E, F):
-    """Right-hand side of the solved-for second z-derivative of phi."""
-    truncs = phi.truncs
-    psi = phi.mul_monomial(0, 0, m - 1) * I
-    exppsi = psi.exp()
-    W = exppsi.mul_monomial(0, 0, 1)           # eta * e^(i eta^(m-1) phi)
+    """Right-hand side of the solved-for second z-derivative of phi,
+    (-i eta^(m-1) + (-i lin + cubic scale phid) scale) phid^2 with scale =
+    e^((1-m) psi), on the box of phid, one z-order below phi's: psi, W,
+    the ODE on the family and scale are built on that box."""
+    phid = phi.derivative(0)
+    truncs = phid.truncs
+    psi = phi.truncate(truncs).mul_monomial(0, 0, m - 1) * I
+    W = psi.exp().mul_monomial(0, 0, 1)        # eta * e^(i eta^(m-1) phi)
     lin, cubic = _ode_on_family(W, A, B, C, D, E, F)
-
-    phid = phi.derivative(0).truncate(truncs)
-    phid2 = phid * phid
-    eta_m1 = TriSeries.monomial(0, 0, m - 1, 1, PHI_VARS, truncs)
-    scale = (psi * (1 - m)).exp()               # e^((1-m) psi); 1 for m = 1
-    term1 = (eta_m1 + lin * scale) * phid2 * (-I)
-    if cubic is None:
-        return term1
-    term2 = cubic * (scale * scale) * (phid2 * phid)
-    return term1 + term2
+    scale = (psi * (1 - m)).exp()               # 1 for m = 1
+    inner = lin * (-I)
+    if cubic is not None:
+        inner = inner + cubic * scale * phid
+    eta_m1 = TriSeries.monomial(0, 0, m - 1, -I, PHI_VARS, truncs)
+    return (eta_m1 + inner * scale) * (phid * phid)
 
 
 def _ode_on_family(W, A, B, C, D, E, F):
@@ -375,7 +374,8 @@ def family_residual(ode: P0Ode, phi: AdmissiblePhi) -> TriSeries:
     (certified up to 2m lost eta-orders from the clearing factor).
     Its eta-truncation is at most phi's and the ODE's.  W^(2m) vanishes
     once 2m reaches phi's, and so would the residual: such an m raises
-    PrecisionError.
+    PrecisionError.  W^m (W^m W'' + lin W'^2) + cubic W'^3 lives on the
+    box of W'', where W^m, lin, cubic and W'^2 are built.
     """
     m = phi.m
     truncs = phi.phi.truncs
@@ -385,11 +385,13 @@ def family_residual(ode: P0Ode, phi: AdmissiblePhi) -> TriSeries:
             f" {truncs[2]} to check")
     ode = ode.rescale_order(m)
     W = phi.family()
+    Wp = W.derivative(0)
+    Wpp = Wp.derivative(0)
+    W, Wp = W.truncate(Wpp.truncs), Wp.truncate(Wpp.truncs)
     lin, cubic = _ode_on_family(W, ode.A, ode.B, ode.C, ode.D, ode.E, ode.F)
-    Wp = W.derivative(0).truncate(truncs)
-    Wpp = Wp.derivative(0).truncate(truncs)
     Wm = W.pow_int(m)
-    residual = Wm * Wm * Wpp + Wm * lin * Wp * Wp
+    Wp2 = Wp * Wp
+    residual = Wm * (Wm * Wpp + lin * Wp2)
     if cubic is None:
         return residual
-    return residual + cubic * Wp * Wp * Wp
+    return residual + cubic * Wp2 * Wp

@@ -334,8 +334,10 @@ class _Series:
 
         Graded by degree in the first variable when no term is free of it
         (always in one variable, and for every caller in three), else by
-        total degree.
+        total degree.  The zero series gives one without a product.
         """
+        if not self.coeffs:
+            return self.ring_one()
         if not self.constant_term().is_zero():
             raise DomainError("exp: nonzero constant term")
         truncs = self.truncs
@@ -768,23 +770,27 @@ class TriSeries(_Series):
     def subst_eta(self, t: "TriSeries"):
         """Substitute t for the third variable, on the meet of the two boxes.
 
-        Treats self as a polynomial in eta with (z, xi)-coefficients.  t
-        must be divisible by the third variable (DomainError otherwise),
-        so the terms of self past its box land past that meet.
+        Evaluates sum_j c_j(z, xi) t^j by Horner, acc_j = c_j + t acc_(j+1).
+        t must be divisible by the third variable (DomainError otherwise),
+        so only acc_j modulo eta^(te - j) reaches the meet's eta^te: step j
+        multiplies on that box, widening acc_(j+1), whose unknown terms t
+        moves past it.
         """
         if len(t.vars) != 3:
             raise StructureError("subst_eta target must be trivariate")
         if any(not key & MASK for key in t.coeffs):
             raise DomainError(f"subst_eta: substitute must be divisible by {t.vars[2]}")
-        truncs = tuple(map(min, self.truncs, t.truncs))
+        tz, tx, te = truncs = tuple(map(min, self.truncs, t.truncs))
         buckets = {}
         for key, v in _cut(self.coeffs, truncs).items():
             j = key & MASK
             buckets.setdefault(j, {})[key - j] = v
-        powers = _powers(t.truncate(truncs), max(buckets, default=0))
-        terms = [(1, TriSeries._raw(t.vars, truncs, cj, self.den) * powers[j])
-                 for j, cj in buckets.items() if j < len(powers)]
-        return _combine_shifted(TriSeries._raw(t.vars, truncs, {}, 1), 0, terms, truncs)
+        top = max(buckets, default=0)
+        for j in range(top, -1, -1):
+            box = (tz, tx, te - j)
+            cj = TriSeries._raw(t.vars, box, buckets.get(j, {}), self.den)
+            acc = cj if j == top else cj + t.truncate(box) * acc.widen(box)
+        return acc
 
     # -- slices -------------------------------------------------------------
 

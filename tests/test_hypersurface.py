@@ -2,14 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from segreode import backend
 from segreode.errors import DomainError, PrecisionError, StructureError
 from segreode.hypersurface import (HYPER_VARS, HoloField, HyperJet, TangencyResult,
                                    build_hypersurface, reality_verify,
                                    sphere_pushforward_fields, tangency_check)
 from segreode.odes import Poly2
 from segreode.scalars import GaussRational
-from segreode.segre import AdmissiblePhi, RealStructureData, build_real, solve_phi
-from segreode.series import TriSeries, USeries, _combine_shifted, _powers
+from segreode.segre import (AdmissiblePhi, RealStructureData, build_real, dual_phi_full,
+                            family_residual, solve_phi)
+from segreode.series import TriSeries, USeries, _combine_shifted, _powers, unpack
 
 G = GaussRational
 
@@ -210,10 +212,64 @@ def test_tangency_context_order_independent(structure_samples):
 
 
 def test_tangency_context_past_a_vanishing_power():
-    # at eta-truncation 4, rho^4 vanishes in the box, so the w-degree 4
-    # and 5 terms of the fields read zero
-    for truncs, kept in (((4, 4, 4), 4), ((5, 5, 6), 6)):
+    # the powers live on the residual box: at eta-truncation 4 it ends
+    # below wbar^3, so rho^3 vanishes there and the w-degree 3 to 5
+    # terms of the fields read zero
+    for truncs, kept in (((4, 4, 4), 3), ((5, 5, 6), 5)):
         jet = build_hypersurface(flat_phi(1, truncs))
         for X in _test_fields():
             assert _same_result(tangency_check(jet, X), _tangency_per_field(jet, X))
         assert len(jet.tangency_context.powers) == kept     # 1, rho, ..., rho^(kept-1)
+
+
+def _kept_pairs(ca, cb, tz, tx, te):
+    """The pairs (a, b) of terms whose exponent sum lies inside the box,
+    counted one by one, not by the kernel."""
+    tb = [unpack(key) for key in cb]
+    return sum(kb < tz - k and lb < tx - l and jb < te - j
+               for k, l, j in map(unpack, ca) for kb, lb, jb in tb)
+
+
+# Kept mul3 pairs per stage at (9, 9, 18), summed over the m = 4 model and
+# a dense datum with c != 0.  Each stage multiplies only inside the box its
+# result keeps; on the full boxes the same stages kept, in this order,
+# 144,451, 186,828, 83,205, 25,302 and 101,002 pairs.
+PAIR_CEILINGS = {"solve_phi": 119_306, "family_residual": 80_140, "reality_verify": 44_289,
+                 "tangency_check": 11_474, "dual_phi_full": 47_283}
+
+
+def test_kept_mul3_pairs_per_stage(structure_samples, monkeypatch):
+    truncs = (9, 9, 18)
+    te = truncs[2]
+    dense = next(d for d in structure_samples if not d.c.is_zero())
+    data = [RealStructureData(a=USeries.constant(1, trunc=te),
+                              b=USeries.monomial(4, 1, trunc=te),
+                              c=USeries.zero(trunc=te), m=4),
+            RealStructureData(dense.a.widen(te), dense.b.widen(te), dense.c.widen(te),
+                              dense.m)]
+    kept = [0]
+    mul3 = backend.mul3
+
+    def counted(ca, cb, *box):
+        kept[0] += _kept_pairs(ca, cb, *box)
+        return mul3(ca, cb, *box)
+
+    monkeypatch.setattr(backend, "mul3", counted)
+    got = dict.fromkeys(PAIR_CEILINGS, 0)
+
+    def stage(name, fn, *args):
+        before = kept[0]
+        out = fn(*args)
+        got[name] += kept[0] - before
+        return out
+
+    for d in data:
+        ode = build_real(d)
+        phi = stage("solve_phi", solve_phi, ode, d.m, 1, truncs)
+        stage("family_residual", family_residual, ode, phi)
+        jet = build_hypersurface(phi)
+        stage("reality_verify", reality_verify, jet)
+        for X in sphere_pushforward_fields():
+            stage("tangency_check", tangency_check, jet, X)
+        stage("dual_phi_full", dual_phi_full, phi)
+    assert all(got[name] <= cap for name, cap in PAIR_CEILINGS.items()), got

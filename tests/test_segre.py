@@ -444,6 +444,53 @@ def test_findphi_rhs_takes_two_exps(structure_samples, monkeypatch):
     assert len(calls) == 2
 
 
+def _ode_on_family_by_eval(W, ode):
+    A, B, C, D, E, F = (getattr(ode, n).eval_at(W) for n in "ABCDEF")
+    return (A.mul_monomial(1, 0, 0) + B,
+            C.mul_monomial(3, 0, 0) + D.mul_monomial(2, 0, 0) + E.mul_monomial(1, 0, 0) + F)
+
+
+def _rhs_on_phis_box(phi, m, ode):
+    """-i (eta^(m-1) + lin scale) phid^2 + cubic scale^2 phid^3, each factor
+    on its own full box."""
+    psi = phi.mul_monomial(0, 0, m - 1) * I
+    lin, cubic = _ode_on_family_by_eval(psi.exp().mul_monomial(0, 0, 1), ode)
+    scale = (psi * (1 - m)).exp()
+    phid = phi.derivative(0)
+    eta_m1 = TriSeries.monomial(0, 0, m - 1, 1, phi.vars, phi.truncs)
+    return ((eta_m1 + lin * scale) * phid * phid * (-I)
+            + cubic * scale * scale * phid * phid * phid)
+
+
+def _residual_on_phis_box(ode, phi):
+    """W^(2m) W'' + W^m lin W'^2 + cubic W'^3, each factor on its own full box."""
+    W = phi.family()
+    lin, cubic = _ode_on_family_by_eval(W, ode.rescale_order(phi.m))
+    Wp = W.derivative(0)
+    Wm = W.pow_int(phi.m)
+    return Wm * Wm * Wp.derivative(0) + Wm * lin * Wp * Wp + cubic * Wp * Wp * Wp
+
+
+def test_rhs_and_residual_equal_their_unfactored_formulas(structure_samples):
+    truncs = (6, 6, 14)
+    te = truncs[2]
+    dense = next(d for d in structure_samples if d.m >= 2 and not d.c.is_zero())
+    for data in (family_data(1, te),
+                 RealStructureData(dense.a.widen(te), dense.b.widen(te),
+                                   dense.c.widen(te), dense.m)):
+        ode, m = build_real(data), data.m
+        src = ode.rescale_order(m)
+        solved = solve_phi(ode, m, 1, truncs)
+        bent = AdmissiblePhi(m, 1, solved.phi + TriSeries.monomial(
+            2, 2, 1, 1, solved.phi.vars, truncs))
+        for phi in (solved, bent):
+            rhs = _findphi_rhs(phi.phi, m, *(getattr(src, n) for n in "ABCDEF"))
+            assert not rhs.is_zero() and rhs == _rhs_on_phis_box(phi.phi, m, src)
+            residual = family_residual(ode, phi)
+            assert residual.is_zero() == (phi is solved), m
+            assert residual == _residual_on_phis_box(ode, phi)
+
+
 @pytest.mark.parametrize("truncs", [(5, 5, 12), (7, 7, 14), (9, 9, 18)])
 def test_solve_phi_returns_a_full_box_fixed_point(structure_samples, truncs):
     """A Picard sweep on the full box leaves the returned phi unchanged."""

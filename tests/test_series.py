@@ -295,6 +295,14 @@ def test_pow_int_kernel_calls(n, monkeypatch):
         assert got == expect
 
 
+def test_exp_of_zero_takes_no_product(monkeypatch):
+    for kernel in ("mul1", "mul3"):
+        monkeypatch.setattr(backend, kernel, None)
+    for zero in (USeries.zero("w", 6), TriSeries.zero(truncs=(3, 3, 4)),
+                 TriSeries.zero(truncs=(3, 0, 4))):
+        assert zero.exp() == zero.ring_one()
+
+
 # -- hypothesis property tests --------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -479,6 +487,49 @@ def test_composition_argument_must_be_divisible_by_the_composition_variable():
             target.subst_eta(t)
     with pytest.raises(DomainError):
         s.eval_at(one + w)
+
+
+def power_table_subst_eta(s, t):
+    """sum_j c_j(z, xi) t^j over a table of forward powers of t, on the meet
+    of the two boxes: the reference for the Horner ``subst_eta``."""
+    truncs = tuple(map(min, s.truncs, t.truncs))
+    t = t.truncate(truncs)
+    powers = [t.ring_one()]
+    acc = TriSeries(t.vars, truncs)
+    for (k, l, j), q in s.truncate(truncs).terms():
+        while len(powers) <= j:
+            powers.append(powers[-1] * t)
+        acc = acc + powers[j].mul_monomial(k, l, 0) * q
+    return acc
+
+
+@st.composite
+def eta_substitutes(draw, box=(4, 4, 6)):
+    """t = g eta^v + ... of eta-valuation v in {1, 2}, on a box at most one
+    larger than ``box`` on each axis (so often smaller on some)."""
+    v = draw(st.sampled_from((1, 2)))
+    tz, tx = draw(st.integers(1, box[0] + 1)), draw(st.integers(1, box[1] + 1))
+    te = draw(st.integers(v + 1, box[2] + 1))
+    keys = st.tuples(st.integers(0, tz - 1), st.integers(0, tx - 1), st.integers(v, te - 1))
+    terms = draw(st.dictionaries(keys, gauss, max_size=5))
+    terms[(0, 0, v)] = draw(gauss.filter(lambda q: not q.is_zero()))
+    return TriSeries(("z", "xi", "eta"), (tz, tx, te), terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(triseries(truncs=(4, 4, 6), max_terms=8), eta_substitutes(),
+       st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 6)), gauss)
+def test_subst_eta_against_power_table(s, t, low, q):
+    got = s.subst_eta(t)
+    assert got == power_table_subst_eta(s, t)
+    assert got.truncs == tuple(map(min, s.truncs, t.truncs))
+    assert TriSeries(s.vars, s.truncs).subst_eta(t) == TriSeries(t.vars, got.truncs)
+    # truncation honesty: both operands cut to a lower box give the cut result
+    assert s.truncate(low).subst_eta(t.truncate(low)) == got.truncate(low)
+    if not q.is_zero():
+        free = t + TriSeries.monomial(0, 0, 0, q, t.vars, t.truncs)
+        with pytest.raises(DomainError):
+            s.subst_eta(free)
 
 
 @settings(max_examples=60, deadline=None)
