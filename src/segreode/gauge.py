@@ -24,6 +24,7 @@ oracle the tests check both against.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from ._record import record
 from .errors import DomainError, InternalInconsistencyError, PrecisionError, StructureError
@@ -383,7 +384,8 @@ def formal_fundamental(gamma, order):
 
 @record
 class ScalarGauge:
-    """(z, w) -> (z f(w), g(w)) with f a unit and g a coordinate change."""
+    """(z, w) -> (z f(w), g(w)) with f a unit and g a coordinate change; its
+    ``chain_terms`` are built on first use and kept with it."""
 
     f: USeries
     g: USeries
@@ -401,6 +403,15 @@ class ScalarGauge:
     @property
     def var(self):
         return self.g.var
+
+    @cached_property
+    def chain_terms(self):
+        """(g', 1/g', f'/f, g''/g', f''/f) as Laurent series: one inversion
+        of f and one of g' per gauge, whichever way it transports."""
+        fp, gp = self.f.derivative(), self.g.derivative()
+        finv, gpinv = self.f.invert_unit(), gp.invert_unit()
+        return (ULaurent(gp), ULaurent(gpinv), ULaurent(fp * finv),
+                ULaurent(gp.derivative() * gpinv), ULaurent(fp.derivative() * finv))
 
     def compose(self, inner: "ScalarGauge") -> "ScalarGauge":
         """self after inner: (z, w) -> self(inner(z, w))."""
@@ -506,32 +517,25 @@ def transform_ode_by_gauge(ode: P0Ode, gauge: ScalarGauge, target: P0Ode = None,
     where g' (P~ o g) = P + 2 f'/f - g''/g' folds the numerator of
     Q~ o g to Q + f''/f - (f'/f)(P + 2 f'/f).  It then composes both
     with h = reversion(g) through one shared composition: one
-    reversion, and no f o h to invert.
+    reversion, and no f o h to invert.  Both directions read g', 1/g',
+    f'/f, g''/g' and f''/f from ``gauge.chain_terms``, built once per
+    gauge.
     """
     if direction not in ("pullback", "pushforward"):
         raise DomainError("direction must be 'pullback' or 'pushforward'")
     if not ode.is_linear():
         raise DomainError("gauge transport implemented for linear sextuples")
-    f, g = gauge.f, gauge.g
     P, Q = ode.first_order_coeffs()
-    fp = f.derivative()
-    gp = g.derivative()
-    finv = f.invert_unit()
-    gpinv = gp.invert_unit()
-    lf = ULaurent(fp * finv)                     # f'/f
-    lg = ULaurent(gp.derivative() * gpinv)       # g''/g'
-    lff = ULaurent(fp.derivative() * finv)       # f''/f
+    gpL, gpinvL, lf, lg, lff = gauge.chain_terms
     if direction == "pullback":
-        Pg, Qg = _compose_laurent((P, Q), g)
-        gpL = ULaurent(gp)
+        Pg, Qg = _compose_laurent((P, Q), gauge.g)
         Pnew = lf * (-2) + lg + gpL * Pg
         Qnew = lff * (-1) + lf * lg + gpL * Pg * lf + gpL * gpL * Qg
     else:
-        gpinvL = ULaurent(gpinv)
         P2lf = P + lf * 2
         Pg = (P2lf - lg) * gpinvL
         Qg = (Q + lff - lf * P2lf) * gpinvL * gpinvL
-        Pnew, Qnew = _compose_laurent((Pg, Qg), reversion(g))
+        Pnew, Qnew = _compose_laurent((Pg, Qg), reversion(gauge.g))
     rP = rQ = None
     if target is not None:
         tP, tQ = target.first_order_coeffs()

@@ -83,7 +83,7 @@ class _TangencyContext:
 
 def build_hypersurface(phi: AdmissiblePhi) -> HyperJet:
     """Expand the defining series of the hypersurface behind a family."""
-    return HyperJet(phi.m, phi.sign, phi.family().relabel(HYPER_VARS))
+    return HyperJet(phi.m, phi.sign, phi.family.relabel(HYPER_VARS))
 
 
 @record

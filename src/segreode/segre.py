@@ -16,6 +16,7 @@ TriSeries variables are the antiholomorphic parameters.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
 from ._record import record
 from .errors import DomainError, InternalInconsistencyError, PrecisionError
@@ -59,8 +60,9 @@ class AdmissiblePhi:
         if tz >= 2 and tx >= 2 and self.phi.coeff(1, 1, 0) != GaussRational(1):
             raise InternalInconsistencyError("missing z*xi leading term")
 
+    @cached_property
     def family(self) -> TriSeries:
-        """The graph series w = eta * exp(sign*i*eta^(m-1)*phi)."""
+        """The graph series w = eta * exp(sign*i*eta^(m-1)*phi), built once."""
         psi = self.phi.mul_monomial(0, 0, self.m - 1) * (I * self.sign)
         return psi.exp().mul_monomial(0, 0, 1)
 
@@ -384,7 +386,7 @@ def family_residual(ode: P0Ode, phi: AdmissiblePhi) -> TriSeries:
             f"family residual: 2m = {2 * m} leaves nothing of eta-truncation"
             f" {truncs[2]} to check")
     ode = ode.rescale_order(m)
-    W = phi.family()
+    W = phi.family
     Wp = W.derivative(0)
     Wpp = Wp.derivative(0)
     W, Wp = W.truncate(Wpp.truncs), Wp.truncate(Wpp.truncs)

@@ -445,21 +445,39 @@ class USeries(_Univariate):
     def invert_unit(self):
         """Multiplicative inverse; requires a nonzero constant term.
 
-        Newton steps x -> x (2 - s x) on a precision ladder: x is exact
-        modulo var**n, and the step that doubles n works on s and x
-        truncated to the new n = min(2n, trunc), never at full
-        truncation.  The result has the truncation of self.
+        Newton steps on a precision ladder: x is exact below lo, and the
+        step to n = min(2 lo, trunc) sets x <- x - x e with e = s x - 1.
+        As s x = 1 below lo, e is the middle product (s x)[lo, n)
+        (``_middle_product``), so neither product visits a pair that
+        lands below lo.  The result has the truncation of self.
         """
         c0 = self.constant_term()
         if c0.is_zero():
             raise DomainError("invert_unit: constant term is zero")
         inv = USeries.constant(1 / c0, self.var, 1)
-        n = 1
-        while n < self.trunc:
-            n = min(2 * n, self.trunc)
-            inv = inv.widen(n)
-            inv = inv * (2 - self.truncate(n) * inv)
+        while inv.trunc < self.trunc:
+            e = self._middle_product(inv, min(2 * inv.trunc, self.trunc))
+            inv = inv.widen(e.trunc)
+            inv = inv - inv * e
         return inv
+
+    def _middle_product(self, x, n):
+        """(self x) on the degrees [lo, n), for x of truncation lo <= n <= 2 lo.
+
+        self splits at lo.  Its terms of degree in [lo, n) land at lo or
+        above, and mul1 stops at n.  Below lo both factors are reversed,
+        d -> lo - 1 - d: the degrees >= lo of their product become those
+        below lo - 1, where mul1 stops, and degree r reads back at
+        2 lo - 2 - r.  mul1 sees only nonnegative degrees.
+        """
+        lo = x.trunc
+        high = {d: v for d, v in self.coeffs.items() if lo <= d < n}
+        low = {lo - 1 - d: v for d, v in self.coeffs.items() if d < lo}
+        rx = {lo - 1 - d: v for d, v in x.coeffs.items()}
+        folded = {k: v for r, v in backend.mul1(low, rx, lo - 1).items()
+                  if (k := 2 * lo - 2 - r) < n}
+        cf = _merge_scaled(backend.mul1(high, x.coeffs, n), 1, folded, 1)
+        return USeries._raw(self.vars, (n,), cf, self.den * x.den)
 
     def log(self):
         """log(self) as the integral of s'/s: one inversion, one product."""

@@ -464,7 +464,7 @@ def _rhs_on_phis_box(phi, m, ode):
 
 def _residual_on_phis_box(ode, phi):
     """W^(2m) W'' + W^m lin W'^2 + cubic W'^3, each factor on its own full box."""
-    W = phi.family()
+    W = phi.family
     lin, cubic = _ode_on_family_by_eval(W, ode.rescale_order(phi.m))
     Wp = W.derivative(0)
     Wm = W.pow_int(phi.m)

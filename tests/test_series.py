@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from segreode import backend
 from segreode.errors import DomainError, StructureError
@@ -340,6 +340,68 @@ def test_functional_equations(s):
     assert unit.log().exp().equal_mod(unit)
     powed = unit.pow_binomial(Fraction(-1, 3))
     assert (powed.pow_int(3) * unit).equal_mod(one)
+
+
+@st.composite
+def middle_product_args(draw):
+    """(s, x, n) with x of truncation lo <= n <= 2 lo and s known to n or past."""
+    lo = draw(st.integers(1, 12))
+    n = draw(st.integers(lo, 2 * lo))
+    trunc = draw(st.integers(n, n + 3))
+    s = USeries("w", trunc, draw(st.dictionaries(st.integers(0, trunc - 1), gauss,
+                                                 max_size=8)))
+    x = USeries("w", lo, draw(st.dictionaries(st.integers(0, lo - 1), gauss, max_size=8)))
+    return s, x, n
+
+
+def _dense(trunc, seed):
+    r = random.Random(seed)
+    return USeries("w", trunc, {d: GaussRational(r.randint(-5, 5), r.randint(-5, 5))
+                                for d in range(trunc)})
+
+
+@settings(max_examples=80, deadline=None)
+@given(middle_product_args())
+@example((USeries("w", 2, {0: 3, 1: 1}), USeries("w", 1, {0: Fraction(1, 3)}), 2))
+@example((_dense(8, 1), _dense(6, 2), 8))                   # last step: n < 2 lo - 1
+@example((USeries("w", 9, {0: 1, 7: GaussRational(0, 1)}), _dense(5, 3), 9))
+@example((USeries("w", 10, {0: 1, 2: 2}), _dense(5, 4), 10))  # nothing at or above lo
+@example((USeries("w", 7, {0: GaussRational(2, 1), 1: 1, 4: -1}), _dense(4, 5), 7))
+@example((USeries("w", 7, {1: 1, 5: 2}), _dense(4, 6), 6))
+def test_middle_product_is_the_full_product_on_lo_to_n(args):
+    s, x, n = args
+    lo = x.trunc
+    full = s.truncate(n) * x.widen(n)
+    mid = s._middle_product(x, n)
+    assert mid.trunc == n
+    assert all(mid.coeff(d) == (full.coeff(d) if d >= lo else 0) for d in range(n))
+
+
+def _newton_inverse(s):
+    """1/s by full-width Newton steps x -> x (2 - s x) up the ladder 1, 2, 4, ..."""
+    inv = USeries.constant(1 / s.constant_term(), s.var, 1)
+    n = 1
+    while n < s.trunc:
+        n = min(2 * n, s.trunc)
+        inv = inv.widen(n)
+        inv = inv * (2 - s.truncate(n) * inv)
+    return inv
+
+
+@st.composite
+def units(draw):
+    trunc = draw(st.integers(1, 24))
+    terms = draw(st.dictionaries(st.integers(1, max(trunc - 1, 1)), gauss, max_size=10))
+    terms[0] = draw(gauss.filter(lambda q: not q.is_zero()))
+    return USeries("w", trunc, terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(units(), st.integers(1, 24))
+def test_invert_unit_matches_full_newton_and_is_truncation_honest(s, cut):
+    inv = s.invert_unit()
+    assert inv == _newton_inverse(s)
+    assert s.truncate(cut).invert_unit() == inv.truncate(cut)
 
 
 @settings(max_examples=40, deadline=None)
