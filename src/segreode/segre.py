@@ -2,12 +2,12 @@
 
 A family  w = eta * exp(s * i * eta^(m-1) * phi(z, xi, eta))  with
 s = +-1 and phi = z*xi + sum_{k,l>=2} phi_kl(eta) z^k xi^l is solved
-from the inverse ODE of a validated sextuple by Picard iteration on the
-integrated Cauchy problem.  Each sweep extends the correct z-jet by one
-order, so the sweeps climb a precision ladder: the first runs on
-z-truncation 2, each later one a z-order wider, and the truncs[0] - 2
-sweeps end on the full box with phi exact there.  The dual family is
-solved on the same kind of ladder; neither iterates to a fixed point.
+from the inverse ODE of a validated sextuple as a Cauchy problem in z.
+Slice n of its right-hand side reads the z-slices of phi below n + 2
+only, so the solver is relaxed: it extends every intermediate by one
+z-slice per step and never recomputes a slice it has.  The dual family
+is solved by sweeps on a precision ladder of boxes; it does not iterate
+to a fixed point either.
 
 Variable naming follows the family convention: the second and third
 TriSeries variables are the antiholomorphic parameters.
@@ -18,11 +18,15 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
+from . import backend
 from ._record import record
+from .backend import MASK
 from .errors import DomainError, InternalInconsistencyError, PrecisionError
 from .odes import P0Ode, structural_cd, validate_p0
 from .scalars import GaussRational, I
-from .series import TriSeries, USeries, _compose
+from .series import (TriSeries, USeries, _combine_shifted, _compose,
+                     _content_normalize, _cut, _exp_part, _join, _scalar_triple,
+                     _scale_coeffs, _slice_product, pack)
 
 PHI_VARS = ("z", "xi", "eta")
 
@@ -94,10 +98,10 @@ def solve_phi(ode: P0Ode, m: int, sign: int = 1,
 
     Solves the second-order Cauchy problem equivalent to substituting
     the family into the inverse ODE, with phi(0) = 0 and the z-slope
-    pinned to xi.  Each sweep of the precision ladder makes phi exact
-    one z-order wider, so the sweep that reaches the full box returns
-    the fixed point and no further sweep is run.  A sweep reads the
-    ODE's coefficients, known below w^ode.trunc only, so for tz > 2 phi
+    pinned to xi, one z-slice at a time (``_relaxed_phi``): slice n + 2
+    of phi follows from slice n of the right-hand side, so phi is exact
+    on the full box without sweeps.  The right-hand side reads the ODE's
+    coefficients, known below w^ode.trunc only, so for tz > 2 phi
     comes back on (tz, tx, min(te, ode.trunc)): its eta-truncation is at
     most the ODE's.  Negative-sign families are obtained from the
     positive family of the conjugated ODE (single code path).
@@ -114,36 +118,74 @@ def solve_phi(ode: P0Ode, m: int, sign: int = 1,
 
     ode = ode.rescale_order(m)
     tz, tx, te = truncs
-    A, B, C, D, E, F = (getattr(ode, n) for n in ("A", "B", "C", "D", "E", "F"))
-
-    # Precision ladder: phi starts exact modulo z^2; the right-hand side
-    # loses one z-order to the derivative and two integrals gain two, so
-    # each sweep returns the exact jet one z-order wider.
     zxi = TriSeries.monomial(1, 1, 0, 1, PHI_VARS, truncs)
-    phi = zxi.truncate((2, tx, te))
-    while phi.truncs[0] < tz:
-        rhs = _findphi_rhs(phi, m, A, B, C, D, E, F)
-        phi = zxi + rhs.integral().integral().truncate(truncs)
+    if tz <= 2:
+        return AdmissiblePhi(m, 1, zxi)
+    if tx > 0 and te > 1:           # W = eta * unit: X(W) is known below eta^ode.trunc
+        te = min(te, ode.trunc)
+    return AdmissiblePhi(m, 1, _relaxed_phi(ode, m, (tz, tx, te)))
 
-    return AdmissiblePhi(m, 1, phi)
 
+def _relaxed_phi(ode, m, truncs):
+    """phi on truncs (tz >= 3) by relaxed evaluation (van der Hoeven, "Relax,
+    but don't be too lazy", J. Symb. Comp. 2002) of phi'' = (-i eta^(m-1) +
+    (-i lin + cubic S phi') S) phi'^2, with psi = i eta^(m-1) phi, W = eta
+    exp(psi), (lin, cubic) the ODE on W and S = exp((1-m) psi); as
+    eta^(m-1) = W^(m-1) S, the first term joins lin.  Each intermediate is
+    the list of its z-slices, primitive (coeffs, den) pairs on the box
+    (1, tx, te).  Step n appends slice n of each, from slices <= n, and sets
+    phi_(n+2) = rhs_n / ((n+1)(n+2)): no slice is made twice.
+    """
+    tz, tx, te = truncs
+    box = (1, tx, te)
+    zero = TriSeries._raw(PHI_VARS, box, {}, 1)
+    one = (_cut({0: (1, 0)}, box), 1)
 
-def _findphi_rhs(phi, m, A, B, C, D, E, F):
-    """Right-hand side of the solved-for second z-derivative of phi,
-    (-i eta^(m-1) + (-i lin + cubic scale phid) scale) phid^2 with scale =
-    e^((1-m) psi), on the box of phid, one z-order below phi's: psi, W,
-    the ODE on the family and scale are built on that box."""
-    phid = phi.derivative(0)
-    truncs = phid.truncs
-    psi = phi.truncate(truncs).mul_monomial(0, 0, m - 1) * I
-    W = psi.exp().mul_monomial(0, 0, 1)        # eta * e^(i eta^(m-1) phi)
-    lin, cubic = _ode_on_family(W, A, B, C, D, E, F)
-    scale = (psi * (1 - m)).exp()               # 1 for m = 1
-    inner = lin * (-I)
-    if cubic is not None:
-        inner = inner + cubic * scale * phid
-    eta_m1 = TriSeries.monomial(0, 0, m - 1, -I, PHI_VARS, truncs)
-    return (eta_m1 + inner * scale) * (phid * phid)
+    def mul(a, b):
+        return backend.mul3(a, b, 1, tx, te)
+
+    def scaled(x, q, j=0):                      # q eta^j x
+        a, b, d = _scalar_triple(q)
+        cf = {k + j: v for k, v in x[0].items() if q and (k & MASK) + j < te}
+        return _content_normalize(_scale_coeffs(cf, a, b), x[1] * d)
+
+    def on_family(terms, n, *more):             # slice n of the terms, plus more
+        s = _combine_shifted(zero, 0, [(q, ws[n - s][d]) for s, d, q in terms if s <= n]
+                             + list(more), box)
+        return s.coeffs, s.den
+
+    def terms(*pairs):                          # q z^s W^d over (s, X); W^d = 0 from te on
+        return [(s, d, q) for s, X in pairs for d, q in X.terms() if d < te]
+
+    # -i (lin + W^(m-1)) = -i (A(W) z + B(W) + W^(m-1)) and cubic =
+    # C(W) z^3 + D(W) z^2 + E(W) z + F(W)
+    lin_terms = [(s, d, -I * q) for s, d, q in
+                 terms((1, ode.A), (0, ode.B), (0, USeries.monomial(m - 1, 1, trunc=m)))]
+    cubic_terms = terms((3, ode.C), (2, ode.D), (1, ode.E), (0, ode.F))
+    npow = 1 + max([1] + [d for _, d, _ in lin_terms + cubic_terms])
+    phi = [({}, 1), (_cut({pack(0, 1, 0): (1, 0)}, box), 1)]
+    dphi, psi, sig, E, S, ws, cubic, U, inner, G, Q = ([] for _ in range(11))
+    pw = [[] for _ in range(npow)]              # W^d; ws[n]: their slices n as series
+    for n in range(tz - 2):
+        dphi.append(scaled(phi[n + 1], n + 1))
+        psi.append(scaled(phi[n], I, m - 1))
+        sig.append(scaled(psi[n], 1 - m))       # (1 - m) psi
+        E.append(_exp_part(psi, E, n, mul) if n else one)
+        S.append(_exp_part(sig, S, n, mul) if n else one)
+        pw[0].append(({}, 1) if n else one)
+        pw[1].append(scaled(E[n], 1, 1))
+        for d in range(2, npow):
+            pw[d].append(_slice_product(pw[d // 2], pw[d - d // 2], n, mul))
+        ws.append([TriSeries._raw(PHI_VARS, box, *p[n]) for p in pw])
+        cubic.append(on_family(cubic_terms, n))
+        U.append(_slice_product(cubic, S, n, mul))
+        V = TriSeries._raw(PHI_VARS, box, *_slice_product(U, dphi, n, mul))
+        inner.append(on_family(lin_terms, n, (1, V)))   # -i (lin + W^(m-1)) + cubic S phi'
+        G.append(_slice_product(inner, S, n, mul))
+        Q.append(_slice_product(dphi, dphi, n, mul))    # phi'^2
+        rhs = _slice_product(G, Q, n, mul)
+        phi.append(scaled(rhs, Fraction(1, (n + 1) * (n + 2))))
+    return TriSeries._raw(PHI_VARS, truncs, *_join(phi, pack(1, 0, 0)))
 
 
 def _ode_on_family(W, A, B, C, D, E, F):

@@ -334,7 +334,10 @@ class _Series:
 
         Graded by degree in the first variable when no term is free of it
         (always in one variable, and for every caller in three), else by
-        total degree.  The zero series gives one without a product.
+        total degree.  The parts E_n of exp(t) come from those of t by
+        ``_exp_part``, each primitive over its own denominator, so its size
+        follows its reduced coefficients.  The zero series gives one
+        without a product.
         """
         if not self.coeffs:
             return self.ring_one()
@@ -346,9 +349,18 @@ class _Series:
             grade, ngrades = (lambda key: key >> shift), truncs[0]
         else:
             grade, ngrades = (lambda key: sum(unpack(key))), sum(truncs) - 2
-        cf, den = _exp_graded(self.coeffs, self.den, grade, ngrades,
-                              lambda a, b: _product(a, b, truncs))
-        return self._raw(self.vars, truncs, cf, den)
+        t = [({}, self.den) for _ in range(max(ngrades, 1))]
+        for key, v in self.coeffs.items():
+            t[grade(key)][0][key] = v
+        one = {0: (1, 0)}
+
+        def mul(a, b):
+            return _product(a, b, truncs)
+
+        E = [(mul(one, one), 1)]                # {} in the zero ring
+        for n in range(1, len(t)):
+            E.append(_exp_part(t, E, n, mul))
+        return self._raw(self.vars, truncs, *_join(E))
 
     def _pow_int(self, n):
         """self**n by squaring; n >= 1 takes no product with one."""
@@ -504,48 +516,54 @@ class USeries(_Univariate):
         return _compose((self,), t)[0]
 
 
-def _exp_graded(coeffs, den, grade, ngrades, mul):
-    """exp(t) for t = coeffs/den with no grade-0 part, in about one product.
+def _slice_sum(terms, mul, div=1):
+    """sum(s x y for s, x, y in terms) / div, for integers s and (coeffs,
+    den) pairs x and y multiplied by ``mul``, as a primitive pair: summed
+    once over the lcm of the denominators, then reduced once."""
+    lcm = math.lcm(*(x[1] * y[1] for _, x, y in terms))
+    acc = {}
+    for s, (ca, da), (cb, db) in terms:
+        s *= lcm // (da * db)
+        for k, (a, b) in mul(ca, cb).items():
+            cur = acc.get(k)
+            if cur is None:
+                acc[k] = (a * s, b * s)
+            else:
+                acc[k] = (cur[0] + a * s, cur[1] + b * s)
+    for k in [k for k, v in acc.items() if not (v[0] or v[1])]:
+        del acc[k]
+    return _content_normalize(acc, div * lcm)
 
-    ``grade`` maps a key to its grade (< ngrades); keys and grades must
-    add under multiplication and ``mul`` must drop products outside the
-    ring.  With t = T/den split into homogeneous parts T_j, the parts
-    E_n of exp(t) obey n E_n = sum_{j=1..n} j (T_j/den) E_(n-j), E_0 = 1
-    (Brent & Kung).  Each E_n is kept primitive over its own denominator,
-    so its size follows its reduced coefficients, and the grades are
-    summed once over the lcm of their denominators.
-    Returns the integer pairs and the denominator of exp(t).
-    """
-    ngrades = max(ngrades, 1)
-    parts = [{} for _ in range(ngrades)]
-    for key, v in coeffs.items():
-        parts[grade(key)][key] = v
-    one = {0: (1, 0)}
-    E = [(mul(one, one), 1)]                # {} in the zero ring
-    for n in range(1, ngrades):
-        js = [j for j in range(1, n + 1) if parts[j] and E[n - j][0]]
-        lcm = math.lcm(*(E[n - j][1] for j in js))
-        acc = {}
-        for j in js:
-            cf, d = E[n - j]
-            s = j * (lcm // d)
-            for k, (a, b) in mul(parts[j], cf).items():
-                cur = acc.get(k)
-                if cur is None:
-                    acc[k] = (a * s, b * s)
-                else:
-                    acc[k] = (cur[0] + a * s, cur[1] + b * s)
-        for k in [k for k, v in acc.items() if not (v[0] or v[1])]:
-            del acc[k]
-        E.append(_content_normalize(acc, n * den * lcm))
-    # the grades hold disjoint keys
-    lcm = math.lcm(*(d for _, d in E))
+
+def _slice_product(a, b, n, mul):
+    """Part n of a b from the parts a_0..a_n and b_0..b_n, by ``_slice_sum``:
+    the relaxed product, which reads no part past n.  Empty parts are
+    skipped, and a square (a is b) takes each pair of distinct parts once,
+    with weight 2."""
+    if a is b:
+        terms = [(2 - (2 * i == n), a[i], a[n - i]) for i in range(n // 2 + 1)]
+    else:
+        terms = [(1, x, y) for x, y in zip(a, b[n::-1])]
+    return _slice_sum([t for t in terms if t[1][0] and t[2][0]], mul)
+
+
+def _join(parts, step=0):
+    """The (coeffs, den) parts, part n moved by the key n * step, summed
+    over the lcm of their denominators; the moved parts are disjoint."""
+    lcm = math.lcm(*(d for _, d in parts))
     out = {}
-    for cf, d in E:
-        s = lcm // d
-        for k, (a, b) in cf.items():
-            out[k] = (a * s, b * s)
+    for n, (cf, d) in enumerate(parts):
+        s, shift = lcm // d, n * step
+        out.update({k + shift: (a * s, b * s) for k, (a, b) in cf.items()})
     return out, lcm
+
+
+def _exp_part(t, E, n, mul):
+    """The part E_n (n >= 1) of exp(t) from the parts t_1..t_n of t and
+    E_0..E_(n-1), all (coeffs, den) pairs: n E_n = sum_j j t_j E_(n-j)
+    (Brent & Kung).  It reads no part past n, so it also runs online."""
+    return _slice_sum([(j, t[j], E[n - j]) for j in range(1, n + 1)
+                       if t[j][0] and E[n - j][0]], mul, n)
 
 
 def _combine_shifted(base, shift, terms, trunc, den=None):

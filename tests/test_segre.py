@@ -2,15 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from segreode import segre
 from segreode.errors import DomainError, InternalInconsistencyError, PrecisionError
 from segreode.gauge import linear_family
 from segreode.odes import P0Ode, validate_p0
 from segreode.scalars import GaussRational, I
-from segreode.segre import (AdmissiblePhi, RealityReport, RealStructureData,
+from segreode.segre import (PHI_VARS, AdmissiblePhi, RealityReport, RealStructureData,
                             SliceMismatch, build_real, dual_phi_full,
                             dual_phi_lowjet, extract_real, family_residual,
                             reality_check, recover_ode, recovered_to_ode,
-                            solve_phi, _findphi_rhs)
+                            solve_phi, _ode_on_family)
 from segreode.series import TriSeries, USeries
 
 T = 12
@@ -433,15 +434,90 @@ def test_dual_full_takes_one_exp_per_rung(structure_samples, monkeypatch):
                          else [(2, 2, 12), (3, 3, 12), (4, 4, 12)]), d.m
 
 
-def test_findphi_rhs_takes_two_exps(structure_samples, monkeypatch):
-    # exp(psi), and exp((1 - m) psi) shared by the linear and cubic terms
+def _findphi_rhs(phi, m, A, B, C, D, E, F):
+    """One Picard sweep's right-hand side of the solved-for second
+    z-derivative of phi, (-i eta^(m-1) + (-i lin + cubic scale phid) scale)
+    phid^2 with scale = e^((1-m) psi), on the box of phid, one z-order below
+    phi's: psi, W, the ODE on the family and scale are built on that box."""
+    phid = phi.derivative(0)
+    truncs = phid.truncs
+    psi = phi.truncate(truncs).mul_monomial(0, 0, m - 1) * I
+    W = psi.exp().mul_monomial(0, 0, 1)        # eta * e^(i eta^(m-1) phi)
+    lin, cubic = _ode_on_family(W, A, B, C, D, E, F)
+    scale = (psi * (1 - m)).exp()               # 1 for m = 1
+    inner = lin * (-I)
+    if cubic is not None:
+        inner = inner + cubic * scale * phid
+    eta_m1 = TriSeries.monomial(0, 0, m - 1, -I, PHI_VARS, truncs)
+    return (eta_m1 + inner * scale) * (phid * phid)
+
+
+def _solve_phi_by_ladder(ode, m, sign, truncs):
+    """solve_phi by Picard sweeps on a precision ladder: phi starts exact
+    modulo z^2, and each sweep makes it exact one z-order wider, up to the
+    full box."""
+    if sign == -1:
+        pos = _solve_phi_by_ladder(ode.conjugate(), m, 1, truncs)
+        return AdmissiblePhi(m, -1, pos.phi.conjugate())
+    ode = ode.rescale_order(m)
+    zxi = TriSeries.monomial(1, 1, 0, 1, PHI_VARS, truncs)
+    phi = zxi.truncate((2,) + tuple(truncs[1:]))
+    while phi.truncs[0] < truncs[0]:
+        rhs = _findphi_rhs(phi, m, *(getattr(ode, n) for n in "ABCDEF"))
+        phi = zxi + rhs.integral().integral().truncate(truncs)
+    return AdmissiblePhi(m, 1, phi)
+
+
+def _ladder_cases(structure_samples, te):
+    """(ode, m): the linear model and dense data with c != 0 or c = 0, built
+    to the box's eta-truncation, below it and past it, some solved at an
+    order m above the ODE's."""
+    model = family_data(1, te)
+    dense = [d for d in structure_samples if not d.c.is_zero()][:3]
+    linear = next(d for d in structure_samples if d.c.is_zero())
+    cases = [(build_real(model), 4), (build_real(model), 5)]
+    for d, trunc, lift in zip(dense + [linear], (te, te - 3, te + 4, te), (0, 1, 0, 1)):
+        # the samples are polynomials: rebuild them at the truncation
+        a, b, c = (USeries("w", trunc, dict(x.terms())) for x in (d.a, d.b, d.c))
+        data = RealStructureData(a, b, c, d.m)
+        cases.append((build_real(data), d.m + lift))
+    return cases
+
+
+@pytest.mark.parametrize("truncs", [(1, 5, 12), (2, 5, 12), (3, 3, 9), (4, 6, 10),
+                                    (6, 3, 9), (9, 9, 18)])
+def test_solve_phi_equals_the_picard_ladder(structure_samples, truncs):
+    cases = _ladder_cases(structure_samples, truncs[2])
+    assert {ode.C.is_zero() for ode, _ in cases} == {True, False}
+    assert any(ode.trunc < truncs[2] for ode, _ in cases)
+    assert any(m > ode.m for ode, m in cases)
+    for ode, m in cases:
+        for sign in (1, -1):
+            got = solve_phi(ode, m, sign, truncs).phi
+            want = _solve_phi_by_ladder(ode, m, sign, truncs).phi
+            assert got.coeffs == want.coeffs, (m, sign)
+            assert (got.den, got.truncs) == (want.den, want.truncs), (m, sign)
+
+
+def test_solve_phi_takes_one_exp_recurrence_per_exponential(structure_samples,
+                                                             monkeypatch):
+    # exp(psi), and exp((1 - m) psi) shared by the linear and cubic terms,
+    # each extended one slice per step by the recurrence exp itself runs
     data = next(d for d in structure_samples if d.m >= 2 and not d.c.is_zero())
-    ode = build_real(data).rescale_order(data.m)
+    ode = build_real(data)
     assert not all(getattr(ode, n).is_zero() for n in "CDEF")
-    phi = solve_phi(ode, data.m, 1, TRUNCS)
     calls = _count_tri_exp(monkeypatch)
-    _findphi_rhs(phi.phi, data.m, *(getattr(ode, n) for n in "ABCDEF"))
-    assert len(calls) == 2
+    exponents = []
+    part = segre._exp_part
+
+    def counted(t, E, n, mul):
+        exponents.append(id(t))
+        return part(t, E, n, mul)
+
+    monkeypatch.setattr(segre, "_exp_part", counted)
+    solve_phi(ode, data.m, 1, TRUNCS)
+    assert calls == []
+    assert len(set(exponents)) == 2 and len(exponents) == 2 * (TRUNCS[0] - 3)
 
 
 def _ode_on_family_by_eval(W, ode):

@@ -8,10 +8,12 @@ from segreode import backend
 from segreode.errors import DomainError, StructureError
 from segreode.gauge import linear_family, reversion
 from segreode.scalars import GaussRational
-from segreode.series import TriSeries, ULaurent, USeries, _combine_shifted, _Series
+from segreode.series import (TriSeries, ULaurent, USeries, _combine_shifted, _Series,
+                             _slice_product)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 gauss = st.builds(GaussRational, fractions, fractions)
+PHI = ("z", "xi", "eta")
 
 
 @st.composite
@@ -375,6 +377,52 @@ def test_middle_product_is_the_full_product_on_lo_to_n(args):
     mid = s._middle_product(x, n)
     assert mid.trunc == n
     assert all(mid.coeff(d) == (full.coeff(d) if d >= lo else 0) for d in range(n))
+
+
+def _slices(box, *parts):
+    """TriSeries on the one-slice box, one per dict of (l, j) -> coefficient."""
+    return [TriSeries(PHI, box, {(0, l, j): q for (l, j), q in p.items()}) for p in parts]
+
+
+@st.composite
+def slice_products(draw):
+    """(a, b, n, truncs): the z-slices a_i and b_i of two series on truncs,
+    each slice over its own denominator and possibly empty."""
+    tz, tx, te = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    part = st.dictionaries(st.tuples(st.integers(0, tx - 1), st.integers(0, te - 1)),
+                           gauss, max_size=4)
+    a, b = (_slices((1, tx, te), *draw(st.lists(part, min_size=tz, max_size=tz)))
+            for _ in "ab")
+    return a, b, draw(st.integers(0, tz - 1)), (tz, tx, te)
+
+
+def _stacked(slices, truncs):
+    """sum of z^i slices[i] on truncs."""
+    return TriSeries(PHI, truncs, {(i, l, j): q for i, p in enumerate(slices)
+                                   for (_, l, j), q in p.terms()})
+
+
+_MIXED = _slices((1, 3, 4), {(1, 0): Fraction(1, 2)}, {},
+                 {(0, 2): Fraction(-2, 3), (2, 1): 5}, {(1, 1): GaussRational(0, Fraction(1, 7))})
+_ZERO = _slices((1, 3, 4), {}, {}, {}, {})
+
+
+@settings(max_examples=100, deadline=None)
+@given(slice_products(), st.booleans())
+@example((_MIXED, _MIXED[::-1], 3, (4, 3, 4)), False)
+@example((_MIXED, _MIXED, 2, (4, 3, 4)), True)
+@example((_ZERO, _MIXED, 3, (4, 3, 4)), False)
+def test_slice_product_is_the_product_cut_to_slice_n(args, square):
+    a, b, n, truncs = args
+    tz, tx, te = truncs
+    pa, pb = ([(p.coeffs, p.den) for p in f] for f in (a, b))
+    if square:                          # the same list: each pair of slices once
+        b, pb = a, pa
+    got = _slice_product(pa, pb, n, lambda u, v: backend.mul3(u, v, 1, tx, te))
+    full = _stacked(a, truncs) * _stacked(b, truncs)
+    want = TriSeries(PHI, (1, tx, te), {(0, l, j): q for (k, l, j), q in full.terms()
+                                        if k == n})
+    assert got == (want.coeffs, want.den)
 
 
 def _newton_inverse(s):
