@@ -50,11 +50,6 @@ class Mat2:
         zero = USeries.zero(var, trunc)
         return cls(((one, zero), (zero, one)))
 
-    @classmethod
-    def from_consts(cls, entries, var="w", trunc=16):
-        return cls(tuple(tuple(USeries.constant(GaussRational(0) + e, var, trunc)
-                               for e in row) for row in entries))
-
     def __getitem__(self, ij):
         return self.a[ij[0]][ij[1]]
 
@@ -167,12 +162,6 @@ class PDResult:
     residues: tuple        # (degree, (d1, d2)) diagonal terms kept for k < pole
     obstructions: tuple    # Fuchsian resonant entries that could not be removed
     order: int
-
-    def step_matrix(self, degree, kind="offdiag"):
-        for s in self.steps:
-            if s.target_degree == degree and s.kind == kind:
-                return s.matrix
-        return None
 
 
 def poincare_dulac(sys: LinSystem, order: int) -> PDResult:

@@ -195,7 +195,7 @@ def tangency_check(jet: HyperJet, X: HoloField) -> TangencyResult:
     for (i, j), q in X.fz.coeffs.items():
         terms += [(-q, ctx.power_rho_z(j).mul_monomial(i, 0, 0)),
                   (-q.conjugate(), ctx.rho_zb.mul_monomial(0, i, j))]
-    residual = _combine_shifted(TriSeries._raw(HYPER_VARS, box, {}, 1), 0, terms, box)
+    residual = _combine_shifted(TriSeries.zero(HYPER_VARS, box), 0, terms, box)
     return TangencyResult(residual.is_zero(), residual)
 
 

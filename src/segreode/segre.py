@@ -18,15 +18,12 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from . import backend
 from ._record import record
-from .backend import MASK
 from .errors import DomainError, InternalInconsistencyError, PrecisionError
 from .odes import P0Ode, structural_cd, validate_p0
 from .scalars import GaussRational, I
-from .series import (TriSeries, USeries, _combine_shifted, _compose,
-                     _content_normalize, _cut, _exp_part, _join, _scalar_triple,
-                     _scale_coeffs, _slice_product, pack)
+from .series import (TriSeries, USeries, _combine_shifted, _compose, _exp_part, _join,
+                     _slice_product)
 
 PHI_VARS = ("z", "xi", "eta")
 
@@ -132,27 +129,18 @@ def _relaxed_phi(ode, m, truncs):
     (-i lin + cubic S phi') S) phi'^2, with psi = i eta^(m-1) phi, W = eta
     exp(psi), (lin, cubic) the ODE on W and S = exp((1-m) psi); as
     eta^(m-1) = W^(m-1) S, the first term joins lin.  Each intermediate is
-    the list of its z-slices, primitive (coeffs, den) pairs on the box
-    (1, tx, te).  Step n appends slice n of each, from slices <= n, and sets
-    phi_(n+2) = rhs_n / ((n+1)(n+2)): no slice is made twice.
+    the list of its z-slices, TriSeries on the box (1, tx, te).  Step n
+    appends slice n of each, from slices <= n, and sets phi_(n+2) =
+    rhs_n / ((n+1)(n+2)): no slice is made twice.
     """
     tz, tx, te = truncs
     box = (1, tx, te)
-    zero = TriSeries._raw(PHI_VARS, box, {}, 1)
-    one = (_cut({0: (1, 0)}, box), 1)
-
-    def mul(a, b):
-        return backend.mul3(a, b, 1, tx, te)
-
-    def scaled(x, q, j=0):                      # q eta^j x
-        a, b, d = _scalar_triple(q)
-        cf = {k + j: v for k, v in x[0].items() if q and (k & MASK) + j < te}
-        return _content_normalize(_scale_coeffs(cf, a, b), x[1] * d)
+    zero = TriSeries.zero(PHI_VARS, box)
+    one = zero.ring_one()
 
     def on_family(terms, n, *more):             # slice n of the terms, plus more
-        s = _combine_shifted(zero, 0, [(q, ws[n - s][d]) for s, d, q in terms if s <= n]
-                             + list(more), box)
-        return s.coeffs, s.den
+        return _combine_shifted(zero, 0, [(q, pw[d][n - s]) for s, d, q in terms if s <= n]
+                                + list(more), box)
 
     def terms(*pairs):                          # q z^s W^d over (s, X); W^d = 0 from te on
         return [(s, d, q) for s, X in pairs for d, q in X.terms() if d < te]
@@ -163,29 +151,28 @@ def _relaxed_phi(ode, m, truncs):
                  terms((1, ode.A), (0, ode.B), (0, USeries.monomial(m - 1, 1, trunc=m)))]
     cubic_terms = terms((3, ode.C), (2, ode.D), (1, ode.E), (0, ode.F))
     npow = 1 + max([1] + [d for _, d, _ in lin_terms + cubic_terms])
-    phi = [({}, 1), (_cut({pack(0, 1, 0): (1, 0)}, box), 1)]
-    dphi, psi, sig, E, S, ws, cubic, U, inner, G, Q = ([] for _ in range(11))
-    pw = [[] for _ in range(npow)]              # W^d; ws[n]: their slices n as series
+    phi = [zero, TriSeries.monomial(0, 1, 0, 1, PHI_VARS, box)]
+    dphi, psi, sig, E, S, cubic, U, inner, G, Q = ([] for _ in range(10))
+    pw = [[] for _ in range(npow)]              # the slices of W^d
     for n in range(tz - 2):
-        dphi.append(scaled(phi[n + 1], n + 1))
-        psi.append(scaled(phi[n], I, m - 1))
-        sig.append(scaled(psi[n], 1 - m))       # (1 - m) psi
-        E.append(_exp_part(psi, E, n, mul) if n else one)
-        S.append(_exp_part(sig, S, n, mul) if n else one)
-        pw[0].append(({}, 1) if n else one)
-        pw[1].append(scaled(E[n], 1, 1))
+        dphi.append(phi[n + 1] * (n + 1))
+        psi.append(phi[n].mul_monomial(0, 0, m - 1) * I)
+        sig.append(psi[n] * (1 - m))            # (1 - m) psi
+        E.append(_exp_part(psi, E, n) if n else one)
+        S.append(_exp_part(sig, S, n) if n else one)
+        pw[0].append(zero if n else one)
+        pw[1].append(E[n].mul_monomial(0, 0, 1))
         for d in range(2, npow):
-            pw[d].append(_slice_product(pw[d // 2], pw[d - d // 2], n, mul))
-        ws.append([TriSeries._raw(PHI_VARS, box, *p[n]) for p in pw])
+            pw[d].append(_slice_product(pw[d // 2], pw[d - d // 2], n))
         cubic.append(on_family(cubic_terms, n))
-        U.append(_slice_product(cubic, S, n, mul))
-        V = TriSeries._raw(PHI_VARS, box, *_slice_product(U, dphi, n, mul))
+        U.append(_slice_product(cubic, S, n))
+        V = _slice_product(U, dphi, n)
         inner.append(on_family(lin_terms, n, (1, V)))   # -i (lin + W^(m-1)) + cubic S phi'
-        G.append(_slice_product(inner, S, n, mul))
-        Q.append(_slice_product(dphi, dphi, n, mul))    # phi'^2
-        rhs = _slice_product(G, Q, n, mul)
-        phi.append(scaled(rhs, Fraction(1, (n + 1) * (n + 2))))
-    return TriSeries._raw(PHI_VARS, truncs, *_join(phi, pack(1, 0, 0)))
+        G.append(_slice_product(inner, S, n))
+        Q.append(_slice_product(dphi, dphi, n))         # phi'^2
+        rhs = _slice_product(G, Q, n)
+        phi.append(rhs * Fraction(1, (n + 1) * (n + 2)))
+    return _join(phi, truncs)
 
 
 def _ode_on_family(W, A, B, C, D, E, F):
@@ -271,11 +258,15 @@ def dual_phi_full(phi: AdmissiblePhi) -> AdmissiblePhi:
     expo is exact there and log(w/eta) = expo (exp is injective on series
     without a constant term).  The result carries the opposite sign and
     loses m orders of eta-truncation (one to the leading factor, m-1 to
-    the exponent normalization).
+    the exponent normalization), so an eta-truncation te <= m leaves it
+    nothing and raises PrecisionError.
     """
     m, s = phi.m, phi.sign
     truncs = phi.phi.truncs
     tz, tx, te = truncs
+    if te <= m:
+        raise PrecisionError(f"dual family: the box {truncs} loses m = {m} orders of"
+                             f" eta-truncation; it needs eta-truncation above {m}")
     swapped = phi.phi.swap_zx()  # phi(xi, z, .) as a series
 
     def exponent(w):

@@ -29,7 +29,10 @@ stores negative degrees too, so it has no ``integral`` and no
 var**trunc), and its product, exact below min(t1 - p2, t2 - p1) for
 truncations t and poles p, is its own, as are ``invert`` and negative
 powers.  ``TriSeries`` (three variables) adds coefficients by
-exponent triple, ``subst_eta``, ``swap_zx`` and ``slice_eta``.
+exponent triple, ``subst_eta``, ``swap_zx`` and ``slice_eta``.  The
+relaxed helpers (``_slice_product``, ``_exp_part``, ``_join``) take and
+return series; no other module reads coefficient storage or calls the
+kernel.
 """
 
 from __future__ import annotations
@@ -167,7 +170,8 @@ def _shift(coeffs, n):
 
 class _Series:
     """The ring every series kind shares: stored keys lie inside the box and
-    (coeffs, den) is primitive, so equal series have equal attributes.
+    (coeffs, den) is primitive, so equal series have equal attributes.  A
+    z-slice of the relaxed helpers is a ``TriSeries`` on (1, tx, te).
     Each kind binds those of ``_add``, ``_mul``, ``_exp``, ``_pow_int``,
     ``_antiderivative`` and ``_divide_monomial`` it offers in its own
     namespace, where ``perfbench/tracer.py`` wraps them."""
@@ -335,9 +339,9 @@ class _Series:
         Graded by degree in the first variable when no term is free of it
         (always in one variable, and for every caller in three), else by
         total degree.  The parts E_n of exp(t) come from those of t by
-        ``_exp_part``, each primitive over its own denominator, so its size
-        follows its reduced coefficients.  The zero series gives one
-        without a product.
+        ``_exp_part``, each a series primitive over its own denominator, so
+        its size follows its reduced coefficients.  E_0 and the exp of the
+        zero series are ``ring_one()``, without a product.
         """
         if not self.coeffs:
             return self.ring_one()
@@ -349,18 +353,14 @@ class _Series:
             grade, ngrades = (lambda key: key >> shift), truncs[0]
         else:
             grade, ngrades = (lambda key: sum(unpack(key))), sum(truncs) - 2
-        t = [({}, self.den) for _ in range(max(ngrades, 1))]
+        parts = [{} for _ in range(max(ngrades, 1))]
         for key, v in self.coeffs.items():
-            t[grade(key)][0][key] = v
-        one = {0: (1, 0)}
-
-        def mul(a, b):
-            return _product(a, b, truncs)
-
-        E = [(mul(one, one), 1)]                # {} in the zero ring
+            parts[grade(key)][key] = v
+        t = [self._raw(self.vars, truncs, p, self.den) for p in parts]
+        E = [self.ring_one()]
         for n in range(1, len(t)):
-            E.append(_exp_part(t, E, n, mul))
-        return self._raw(self.vars, truncs, *_join(E))
+            E.append(_exp_part(t, E, n))
+        return _join(E, truncs)
 
     def _pow_int(self, n):
         """self**n by squaring; n >= 1 takes no product with one."""
@@ -516,15 +516,15 @@ class USeries(_Univariate):
         return _compose((self,), t)[0]
 
 
-def _slice_sum(terms, mul, div=1):
-    """sum(s x y for s, x, y in terms) / div, for integers s and (coeffs,
-    den) pairs x and y multiplied by ``mul``, as a primitive pair: summed
-    once over the lcm of the denominators, then reduced once."""
-    lcm = math.lcm(*(x[1] * y[1] for _, x, y in terms))
+def _slice_sum(terms, like, div=1):
+    """sum(s x y for s, x, y in terms) / div, for integers s and series x
+    and y on the box of the series ``like``, as a series on that box:
+    summed once over the lcm of the denominators, then reduced once."""
+    lcm = math.lcm(*(x.den * y.den for _, x, y in terms))
     acc = {}
-    for s, (ca, da), (cb, db) in terms:
-        s *= lcm // (da * db)
-        for k, (a, b) in mul(ca, cb).items():
+    for s, x, y in terms:
+        s *= lcm // (x.den * y.den)
+        for k, (a, b) in _product(x.coeffs, y.coeffs, like.truncs).items():
             cur = acc.get(k)
             if cur is None:
                 acc[k] = (a * s, b * s)
@@ -532,38 +532,41 @@ def _slice_sum(terms, mul, div=1):
                 acc[k] = (cur[0] + a * s, cur[1] + b * s)
     for k in [k for k, v in acc.items() if not (v[0] or v[1])]:
         del acc[k]
-    return _content_normalize(acc, div * lcm)
+    return like._raw(like.vars, like.truncs, acc, div * lcm)
 
 
-def _slice_product(a, b, n, mul):
-    """Part n of a b from the parts a_0..a_n and b_0..b_n, by ``_slice_sum``:
-    the relaxed product, which reads no part past n.  Empty parts are
-    skipped, and a square (a is b) takes each pair of distinct parts once,
-    with weight 2."""
+def _slice_product(a, b, n):
+    """Part n of a b from the parts a_0..a_n and b_0..b_n, series on one
+    box, by ``_slice_sum``: the relaxed product, which reads no part past
+    n.  Empty parts are skipped, and a square (a is b) takes each pair of
+    distinct parts once, with weight 2."""
     if a is b:
         terms = [(2 - (2 * i == n), a[i], a[n - i]) for i in range(n // 2 + 1)]
     else:
         terms = [(1, x, y) for x, y in zip(a, b[n::-1])]
-    return _slice_sum([t for t in terms if t[1][0] and t[2][0]], mul)
+    return _slice_sum([t for t in terms if t[1].coeffs and t[2].coeffs], a[0])
 
 
-def _join(parts, step=0):
-    """The (coeffs, den) parts, part n moved by the key n * step, summed
-    over the lcm of their denominators; the moved parts are disjoint."""
-    lcm = math.lcm(*(d for _, d in parts))
+def _join(parts, truncs):
+    """The sum of the series ``parts`` on the box truncs, over the lcm of
+    their denominators; the parts are disjoint.  Parts narrower than truncs
+    in the first variable are its slices, and part n moves up by its n-th
+    power."""
+    lcm = math.lcm(*(p.den for p in parts))
+    step = 1 << _FIELDS[len(truncs)][0][0] if parts[0].truncs[0] < truncs[0] else 0
     out = {}
-    for n, (cf, d) in enumerate(parts):
-        s, shift = lcm // d, n * step
-        out.update({k + shift: (a * s, b * s) for k, (a, b) in cf.items()})
-    return out, lcm
+    for n, p in enumerate(parts):
+        s, shift = lcm // p.den, n * step
+        out.update({k + shift: (a * s, b * s) for k, (a, b) in p.coeffs.items()})
+    return parts[0]._raw(parts[0].vars, truncs, out, lcm)
 
 
-def _exp_part(t, E, n, mul):
+def _exp_part(t, E, n):
     """The part E_n (n >= 1) of exp(t) from the parts t_1..t_n of t and
-    E_0..E_(n-1), all (coeffs, den) pairs: n E_n = sum_j j t_j E_(n-j)
-    (Brent & Kung).  It reads no part past n, so it also runs online."""
+    E_0..E_(n-1), series on one box: n E_n = sum_j j t_j E_(n-j) (Brent &
+    Kung).  It reads no part past n, so it also runs online."""
     return _slice_sum([(j, t[j], E[n - j]) for j in range(1, n + 1)
-                       if t[j][0] and E[n - j][0]], mul, n)
+                       if t[j].coeffs and E[n - j].coeffs], E[0], n)
 
 
 def _combine_shifted(base, shift, terms, trunc, den=None):

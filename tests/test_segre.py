@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -144,6 +145,16 @@ def test_dual_full_flat_m1():
     dual = dual_phi_full(flat)
     assert dual.sign == -1
     assert dual.phi == flat.phi.truncate(dual.phi.truncs)
+
+
+def test_dual_full_needs_eta_truncation_above_m():
+    # the dual loses m eta-orders: te <= m leaves it none
+    ode = linear_family(1, trunc=14)
+    for truncs in ((5, 5, 4), (1, 1, 1)):
+        phi = solve_phi(ode, 4, 1, truncs)
+        with pytest.raises(PrecisionError, match=re.escape(f"the box {truncs} loses m = 4")):
+            dual_phi_full(phi)
+    assert dual_phi_full(solve_phi(ode, 4, 1, (5, 5, 5))).truncs == (5, 5, 1)
 
 
 def test_dual_full_involution_and_lowjet(structure_samples):
@@ -510,9 +521,9 @@ def test_solve_phi_takes_one_exp_recurrence_per_exponential(structure_samples,
     exponents = []
     part = segre._exp_part
 
-    def counted(t, E, n, mul):
+    def counted(t, E, n):
         exponents.append(id(t))
-        return part(t, E, n, mul)
+        return part(t, E, n)
 
     monkeypatch.setattr(segre, "_exp_part", counted)
     solve_phi(ode, data.m, 1, TRUNCS)

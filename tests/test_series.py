@@ -305,6 +305,21 @@ def test_exp_of_zero_takes_no_product(monkeypatch):
         assert zero.exp() == zero.ring_one()
 
 
+def test_exp_takes_one_product_per_pair_of_nonempty_parts(monkeypatch):
+    # E_0 is one, not a product: n E_n = t_1 E_(n-1) takes one call per n >= 1
+    calls = []
+    for kernel in ("mul1", "mul3"):
+        monkeypatch.setattr(backend, kernel,
+                            lambda *a, k=kernel, f=getattr(backend, kernel):
+                            calls.append(k) or f(*a))
+    u = USeries.monomial(1, 1, "w", 8)
+    t = TriSeries.monomial(1, 1, 0, 1, truncs=(4, 4, 5))
+    for s, kernel, want in ((u, "mul1", 7), (t, "mul3", 3)):
+        calls.clear()
+        s.exp()
+        assert calls == [kernel] * want
+
+
 # -- hypothesis property tests --------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -415,14 +430,13 @@ _ZERO = _slices((1, 3, 4), {}, {}, {}, {})
 def test_slice_product_is_the_product_cut_to_slice_n(args, square):
     a, b, n, truncs = args
     tz, tx, te = truncs
-    pa, pb = ([(p.coeffs, p.den) for p in f] for f in (a, b))
     if square:                          # the same list: each pair of slices once
-        b, pb = a, pa
-    got = _slice_product(pa, pb, n, lambda u, v: backend.mul3(u, v, 1, tx, te))
+        b = a
+    got = _slice_product(a, b, n)
     full = _stacked(a, truncs) * _stacked(b, truncs)
     want = TriSeries(PHI, (1, tx, te), {(0, l, j): q for (k, l, j), q in full.terms()
                                         if k == n})
-    assert got == (want.coeffs, want.den)
+    assert got == want
 
 
 def _newton_inverse(s):
