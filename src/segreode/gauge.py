@@ -15,10 +15,11 @@ known denominator.  Poincare-Dulac decides the monodromy at the
 resonance order of the Fuchsian point at infinity, the largest integer
 gap between its residue eigenvalues, and serves the normal-form checks
 to any order.  The companion of a gauge (f, g) is
-(g' / ((g/w)^m f), g) in closed form, and the pushforward solves the
+g' (1/f) (w/g)^m in closed form, and the pushforward solves the
 chain rule on the w-side and reverts g alone, so nothing in the package
-inverts a gauge; ``ScalarGauge.inverse`` is kept as API and as the
-oracle the tests check both against.
+inverts a gauge.  A gauge keeps 1/f and w/g once built, and the
+straightening gauge is given 1/f = fhat, so no series of a gauge chain
+is inverted twice.
 """
 
 from __future__ import annotations
@@ -268,15 +269,6 @@ def _apply_factor(cur, gauge, H, k, pole, trunc):
     return Mat2(new), Mat2([[right_mul(gauge.a, i, j) for j in range(2)] for i in range(2)])
 
 
-def conjugation_residual(sys: LinSystem, pd: PDResult) -> Mat2:
-    """A H - w^p H' - H N, identically zero for a correct normalization."""
-    H = pd.gauge
-    N = pd.normal_form.A
-    wp = sys.pole
-    lhs = sys.A * H - H.derivative().map(lambda e: e.shift_up(wp)) - H * N
-    return lhs.map(lambda e: e.truncate(min(e.trunc, pd.order + 1)))
-
-
 def _as_gauss(gamma):
     return gamma if isinstance(gamma, GaussRational) else GaussRational(Fraction(gamma))
 
@@ -373,8 +365,9 @@ def formal_fundamental(gamma, order):
 
 @record
 class ScalarGauge:
-    """(z, w) -> (z f(w), g(w)) with f a unit and g a coordinate change; its
-    ``chain_terms`` are built on first use and kept with it."""
+    """(z, w) -> (z f(w), g(w)) with f a unit and g a coordinate change; the
+    inverses ``inv_f`` and ``w_over_g`` and the ``chain_terms`` are built on
+    first use and kept with it."""
 
     f: USeries
     g: USeries
@@ -394,35 +387,37 @@ class ScalarGauge:
         return self.g.var
 
     @cached_property
+    def inv_f(self):
+        """1/f; ``gauge_chi_tau`` hands over the fhat it inverted instead."""
+        return self.f.invert_unit()
+
+    @cached_property
+    def w_over_g(self):
+        """w/g, exact below g.trunc - 1: 1/g as a Laurent series for the
+        pullback, and (w/g)^m for the companion."""
+        return self.g.divide_monomial(1).invert_unit()
+
+    @cached_property
     def chain_terms(self):
-        """(g', 1/g', f'/f, g''/g', f''/f) as Laurent series: one inversion
-        of f and one of g' per gauge, whichever way it transports."""
+        """(g', 1/g', f'/f, g''/g', f''/f) as Laurent series: one inversion,
+        of g', per gauge, whichever way it transports."""
         fp, gp = self.f.derivative(), self.g.derivative()
-        finv, gpinv = self.f.invert_unit(), gp.invert_unit()
+        finv, gpinv = self.inv_f, gp.invert_unit()
         return (ULaurent(gp), ULaurent(gpinv), ULaurent(fp * finv),
                 ULaurent(gp.derivative() * gpinv), ULaurent(fp.derivative() * finv))
-
-    def compose(self, inner: "ScalarGauge") -> "ScalarGauge":
-        """self after inner: (z, w) -> self(inner(z, w))."""
-        return ScalarGauge(inner.f * self.f.eval_at(inner.g),
-                           self.g.eval_at(inner.g))
-
-    def inverse(self) -> "ScalarGauge":
-        ginv = reversion(self.g)
-        finv = self.f.eval_at(ginv).invert_unit()
-        return ScalarGauge(finv, ginv)
 
 
 def reversion(g: USeries) -> USeries:
     """Compositional inverse of g = c w + ... with c != 0, by Newton steps.
 
     The result is w/c, with truncation g.trunc, when g is exactly linear.
-    Otherwise it is exact below g.trunc - 1, which is its truncation: the
-    Newton correction divides by g', which is known one degree less.
-    The steps h <- h - (g(h) - w) / g'(h) run on a precision ladder:
-    h is exact below n (n = 2 for w/c), g(h) - w then starts at degree n,
-    so one step makes h exact below min(2n, g.trunc - 1) and only needs
-    g'(h) below the gain.
+    Otherwise it is exact below g.trunc - 1, which is its truncation.
+    The steps h <- h - (g(h) - w) h' run on a precision ladder, and their
+    slope 1/g'(h) is the derivative of the current iterate: h(g) = w gives
+    h' = 1/g'(h), so no step composes g' or inverts a series.  If h is
+    exact below lo (lo = 2 for w/c), g(h) - w starts at degree lo and h' is
+    exact below lo - 1, so one step makes h exact below
+    n = min(2 lo - 1, g.trunc - 1) and only needs h' below n - lo.
     """
     c = g.coeff(1)
     if not g.constant_term().is_zero() or c.is_zero():
@@ -430,14 +425,13 @@ def reversion(g: USeries) -> USeries:
     if all(d <= 1 for d in g.coeffs):
         return USeries.monomial(1, 1 / c, g.var, g.trunc)
     top = g.trunc - 1
-    dg = g.derivative()
     n = 2
     h = USeries.monomial(1, 1 / c, g.var, n)
     while n < top:
-        lo, n = n, min(2 * n, top)
+        lo, n = n, min(2 * n - 1, top)
+        slope = h.derivative().truncate(n - lo)
         h = h.widen(n)
         err = g.truncate(n).eval_at(h) - USeries.monomial(1, 1, g.var, n)
-        slope = dg.truncate(n - lo).eval_at(h.truncate(n - lo)).invert_unit()
         h = h - (err.divide_monomial(lo) * slope).shift_up(lo)
     return h
 
@@ -447,17 +441,27 @@ def gauge_chi_tau(fhat: USeries, ghat: USeries) -> ScalarGauge:
 
     chi = 1/fhat and tau = w (1 - (3/2i) w^3 log(ghat/(w fhat)))^(-1/3),
     principal branch; the output lies in the class with g = w + O(w^5).
+    The pair must be related as ``formal_fundamental`` returns it,
+    ghat = w conj(fhat) on their common box, or DomainError is raised.
+    Then log(ghat/(w fhat)) = conj(L) - L with L = log fhat, the integral
+    of fhat' chi, and no quotient is inverted.  The gauge keeps fhat as
+    its ``inv_f``.
     """
     if fhat.constant_term() != GaussRational(1):
         raise DomainError("fhat must have constant term 1")
     if not ghat.constant_term().is_zero() or ghat.coeff(1) != GaussRational(1):
         raise DomainError("ghat must be w + O(w^2)")
+    if not (ghat - fhat.conjugate().shift_up(1)).is_zero():
+        raise DomainError("ghat must be w conj(fhat)")
     chi = fhat.invert_unit()
-    ratio = ghat.divide_monomial(1) * chi
-    arg = 1 + (ratio.log() * GaussRational(0, Fraction(3, 2))).shift_up(3)
+    n = min(ghat.trunc - 1, chi.trunc)          # ghat/(w fhat) is known below n
+    L = (fhat.derivative().truncate(n - 1) * chi).integral()
+    arg = 1 + ((L.conjugate() - L) * GaussRational(0, Fraction(3, 2))).shift_up(3)
     tau = arg.truncate(arg.trunc - 1).pow_binomial(Fraction(-1, 3)).shift_up(1)
     tau = tau.truncate(min(tau.trunc, chi.trunc + 1))
-    return ScalarGauge(chi, tau)
+    gauge = ScalarGauge(chi, tau)
+    gauge.__dict__["inv_f"] = fhat
+    return gauge
 
 
 @record
@@ -508,7 +512,8 @@ def transform_ode_by_gauge(ode: P0Ode, gauge: ScalarGauge, target: P0Ode = None,
     with h = reversion(g) through one shared composition: one
     reversion, and no f o h to invert.  Both directions read g', 1/g',
     f'/f, g''/g' and f''/f from ``gauge.chain_terms``, built once per
-    gauge.
+    gauge, and the pullback divides by powers of g through the gauge's
+    ``w_over_g``.
     """
     if direction not in ("pullback", "pushforward"):
         raise DomainError("direction must be 'pullback' or 'pushforward'")
@@ -517,7 +522,7 @@ def transform_ode_by_gauge(ode: P0Ode, gauge: ScalarGauge, target: P0Ode = None,
     P, Q = ode.first_order_coeffs()
     gpL, gpinvL, lf, lg, lff = gauge.chain_terms
     if direction == "pullback":
-        Pg, Qg = _compose_laurent((P, Q), gauge.g)
+        Pg, Qg = _compose_laurent((P, Q), gauge.g, gauge.w_over_g)
         Pnew = lf * (-2) + lg + gpL * Pg
         Qnew = lff * (-1) + lf * lg + gpL * Pg * lf + gpL * gpL * Qg
     else:
@@ -533,17 +538,19 @@ def transform_ode_by_gauge(ode: P0Ode, gauge: ScalarGauge, target: P0Ode = None,
     return TransformedOde(Pnew, Qnew, rP, rQ)
 
 
-def _compose_laurent(laurents, g):
+def _compose_laurent(laurents, g, w_over_g=None):
     """[L(g) for L in laurents] for g = (unit) * w: body(g) / g^pole each.
 
-    The bodies share one composition (one power table of g); g is
-    inverted once as a Laurent series, and each distinct pole takes one
-    power of that inverse.
+    The bodies share one composition (one power table of g).  1/g is
+    (w/g) / w, with w/g given or inverted here once, and each distinct
+    pole takes one power of it.
     """
     bodies = _compose([L.body for L in laurents], g)
     poles = {L.pole for L in laurents if L.pole}
     if poles:
-        ginv = ULaurent(g).invert()
+        if w_over_g is None:
+            w_over_g = g.divide_monomial(1).invert_unit()
+        ginv = ULaurent(w_over_g, 1)
         scale = {p: ginv.pow_int(p) for p in poles}
     return [ULaurent(b) * scale[L.pole] if L.pole else ULaurent(b)
             for L, b in zip(laurents, bodies)]
@@ -745,7 +752,8 @@ def _const_inverse(P):
 def companion_gauge(F: ScalarGauge, m: int) -> ScalarGauge:
     """The unique parameter-side gauge coupled to F on a foliated graph.
 
-    Closed form: for F = (f, g), the companion is (g' / ((g/w)^m f), g).
+    Closed form: for F = (f, g), the companion is (g' / ((g/w)^m f), g),
+    computed as g' (1/f) (w/g)^m from the inverses F keeps.
 
     Derivation: write h for the compositional inverse of g.  Then
     F^-1 = (1/f(h), h), and the two coupling conditions on F^-1 pin
@@ -756,9 +764,11 @@ def companion_gauge(F: ScalarGauge, m: int) -> ScalarGauge:
     and so is the formula: applied to the companion it returns (f, g)
     exactly.  The factor is carried to min(f.trunc, g.trunc - 1), since
     g' is known one degree less than g, and the map g one degree past it.
+    After the pullback along the straightening gauge, which reads the
+    same 1/f and w/g, nothing is left to invert.
     """
     if m < 1:
         raise DomainError("class order m must be >= 1")
-    f, g = F.f, F.g
-    lam = g.derivative() * (g.divide_monomial(1).pow_int(m) * f).invert_unit()
+    g = F.g
+    lam = g.derivative() * (F.w_over_g.pow_int(m) * F.inv_f)
     return ScalarGauge(lam, g.truncate(lam.trunc + 1))

@@ -165,10 +165,10 @@ def _relaxed_phi(ode, m, truncs):
         for d in range(2, npow):
             pw[d].append(_slice_product(pw[d // 2], pw[d - d // 2], n))
         cubic.append(on_family(cubic_terms, n))
-        U.append(_slice_product(cubic, S, n))
+        U.append(_slice_product(cubic, S, n) if m > 1 else cubic[n])    # S = 1 for m = 1
         V = _slice_product(U, dphi, n)
         inner.append(on_family(lin_terms, n, (1, V)))   # -i (lin + W^(m-1)) + cubic S phi'
-        G.append(_slice_product(inner, S, n))
+        G.append(_slice_product(inner, S, n) if m > 1 else inner[n])
         Q.append(_slice_product(dphi, dphi, n))         # phi'^2
         rhs = _slice_product(G, Q, n)
         phi.append(rhs * Fraction(1, (n + 1) * (n + 2)))

@@ -6,8 +6,7 @@ import pytest
 from segreode import backend, gauge as gauge_mod
 from segreode.errors import DomainError, PrecisionError
 from segreode.gauge import (LinSystem, Mat2, PDResult, PDStep, ScalarGauge,
-                            companion_gauge, conjugation_residual,
-                            divergence_report, formal_fundamental,
+                            companion_gauge, divergence_report, formal_fundamental,
                             formal_solution_coeffs, gauge_chi_tau,
                             linear_family, monodromy_at_infinity,
                             poincare_dulac, reversion, riccati_check,
@@ -17,6 +16,7 @@ from segreode.scalars import GaussRational
 from segreode.series import ULaurent, USeries
 
 from conftest import SEED, rnd_fraction
+from gauge_oracles import conjugation_residual, gauge_compose, gauge_inverse
 
 G = GaussRational
 ZERO, ONE = G(0), G(1)
@@ -274,10 +274,13 @@ def test_gauge_chi_tau_operands_stay_the_size_of_fhat(monkeypatch):
 
 def test_kept_mul1_pairs_and_inversions_of_one_chain(monkeypatch):
     # One gauge chain at gamma = 1, order 48, its pairs counted one by one,
-    # not by the kernel.  Newton steps that skip the degrees they know, and
-    # chain-rule terms built once per gauge, keep 24,472 pairs in 13
-    # inversions; full-width steps and terms built per transport kept
-    # 32,214 pairs in 15.
+    # not by the kernel.  It keeps 19,406 pairs in 5 inversions: chi, the
+    # log inside pow_binomial, g', w/g shared by the pullback and the
+    # companion, and w/h for h = reversion(g) in the pushforward.  Newton
+    # reversion that inverted its slope, a gauge that re-inverted chi and
+    # g, and tau's log taken of the quotient ghat/(w fhat) kept 24,471
+    # pairs in 13; full-width Newton steps and chain-rule terms built per
+    # transport kept 32,214 pairs in 15.
     kept, inversions = [0], [0]
     mul1, invert_unit = backend.mul1, USeries.invert_unit
 
@@ -297,7 +300,44 @@ def test_kept_mul1_pairs_and_inversions_of_one_chain(monkeypatch):
     assert transform_ode_by_gauge(target, straight, target=base,
                                   direction="pushforward").matches_target()
     companion_gauge(straight, 4)
-    assert kept[0] <= 24_500 and inversions[0] <= 13, (kept[0], inversions[0])
+    assert kept[0] <= 19_500 and inversions[0] <= 5, (kept[0], inversions[0])
+
+
+def test_straightening_chain_never_inverts_chi(monkeypatch):
+    # the gauge keeps the fhat it inverted as 1/chi, and the transports and
+    # the companion read it there
+    inverted = []
+    invert_unit = USeries.invert_unit
+
+    def recorded(self):
+        inverted.append(self)
+        return invert_unit(self)
+    monkeypatch.setattr(USeries, "invert_unit", recorded)
+    order, gamma = 32, Fraction(-2, 3)
+    fhat, ghat = formal_fundamental(gamma, order)
+    straight = gauge_chi_tau(fhat, ghat)
+    target = linear_family(gamma, trunc=order + 4)
+    base = linear_family(0, trunc=order + 4)
+    assert transform_ode_by_gauge(base, straight, target=target).matches_target()
+    assert transform_ode_by_gauge(target, straight, target=base,
+                                  direction="pushforward").matches_target()
+    companion_gauge(straight, 4)
+    assert fhat in inverted and straight.f not in inverted
+    assert straight.inv_f is fhat
+
+
+def test_gauge_chi_tau_refuses_a_pair_that_is_not_conjugate():
+    fhat, ghat = formal_fundamental(1, 12)
+    bent = ghat + USeries.monomial(7, Fraction(1, 5), trunc=ghat.trunc)
+    with pytest.raises(DomainError, match="conj"):
+        gauge_chi_tau(fhat, bent)
+    # the pair of gamma = 1 is not the pair of gamma = 2
+    with pytest.raises(DomainError, match="conj"):
+        gauge_chi_tau(fhat, formal_fundamental(2, 12)[1])
+    # w fhat is w conj(fhat) only for a real fhat
+    fhat = USeries("w", 12, {0: 1, 1: G(0, 1)})
+    with pytest.raises(DomainError, match="conj"):
+        gauge_chi_tau(fhat, fhat.shift_up(1).truncate(12))
 
 
 def _trivial_gauge(F):
@@ -308,6 +348,52 @@ def test_tau_deviation_order_exactly_five():
     fhat, ghat = formal_fundamental(1, 14)
     g = gauge_chi_tau(fhat, ghat)
     assert (g.g - USeries.monomial(1, 1, "w", g.g.trunc)).order() == 5
+
+
+def _reversion_by_inverted_slope(g):
+    """Compositional inverse of g by Newton steps that invert their slope
+    g'(h); exact below g.trunc - 1, or w/c on g.trunc for a linear g."""
+    c = g.coeff(1)
+    if all(d <= 1 for d in g.coeffs):
+        return USeries.monomial(1, 1 / c, g.var, g.trunc)
+    top = g.trunc - 1
+    dg = g.derivative()
+    n = 2
+    h = USeries.monomial(1, 1 / c, g.var, n)
+    while n < top:
+        lo, n = n, min(2 * n, top)
+        h = h.widen(n)
+        err = g.truncate(n).eval_at(h) - USeries.monomial(1, 1, g.var, n)
+        slope = dg.truncate(n - lo).eval_at(h.truncate(n - lo)).invert_unit()
+        h = h - (err.divide_monomial(lo) * slope).shift_up(lo)
+    return h
+
+
+def _assert_same_series(got, want):
+    assert (got.truncs, got.den, got.coeffs) == (want.truncs, want.den, want.coeffs)
+
+
+def test_reversion_matches_the_inverted_slope_oracle():
+    rng = random.Random(SEED)
+    for trunc in range(2, 41):
+        for kind in ("dense", "sparse", "linear"):
+            c = G(Fraction(rng.choice((-3, -1, 2, 3, 5)), rng.choice((1, 4, 7))),
+                  rng.choice((0, 0, 1)))
+            terms = {1: c}
+            if kind != "linear":
+                density = 1 if kind == "dense" else 0.2
+                terms.update({d: rnd_fraction(rng) for d in range(2, trunc)
+                              if rng.random() < density})
+            g = USeries("w", trunc, terms)
+            _assert_same_series(reversion(g), _reversion_by_inverted_slope(g))
+
+
+@pytest.mark.parametrize("gamma", [Fraction(s * p, q) for s in (1, -1)
+                                   for p, q in ((1, 3), (1, 2), (2, 3), (1, 1), (2, 1))])
+def test_reversion_of_tau_matches_the_inverted_slope_oracle(gamma):
+    for order in range(5, 65):
+        tau = gauge_chi_tau(*formal_fundamental(gamma, order)).g
+        _assert_same_series(reversion(tau), _reversion_by_inverted_slope(tau))
 
 
 def test_reversion_and_compose():
@@ -338,11 +424,11 @@ def test_gauge_group_laws():
         return ScalarGauge(f, g)
     for _ in range(4):
         F, Gg = rand_gauge(), rand_gauge()
-        FGinv = F.compose(Gg).inverse()
-        GinvFinv = Gg.inverse().compose(F.inverse())
+        FGinv = gauge_inverse(gauge_compose(F, Gg))
+        GinvFinv = gauge_compose(gauge_inverse(Gg), gauge_inverse(F))
         assert FGinv.f.equal_mod(GinvFinv.f, 10)
         assert FGinv.g.equal_mod(GinvFinv.g, 10)
-        Fid = F.compose(F.inverse())
+        Fid = gauge_compose(F, gauge_inverse(F))
         assert Fid.f.equal_mod(USeries.constant(1, trunc=10), 10)
         assert Fid.g.equal_mod(USeries.monomial(1, 1, trunc=10), 10)
 
@@ -371,7 +457,7 @@ def test_transform_functoriality():
     # chain: pulling back along f2 then f1 equals pulling along f2 o f1
     mid = _as_linear_ode(once, 16)
     twice = transform_ode_by_gauge(mid, f1)
-    composed = transform_ode_by_gauge(ode, f2.compose(f1))
+    composed = transform_ode_by_gauge(ode, gauge_compose(f2, f1))
     assert (twice.P - composed.P).truncate(8).is_zero()
     assert (twice.Q - composed.Q).truncate(8).is_zero()
 
@@ -601,7 +687,7 @@ def test_companion_gauge_basics():
 
 
 def _twin_equations_hold(F, Gc, m, order):
-    Fi, Gi = F.inverse(), Gc.inverse()
+    Fi, Gi = gauge_inverse(F), gauge_inverse(Gc)
     f, g = Fi.f, Fi.g
     lam, mu = Gi.f, Gi.g
     if not g.equal_mod(mu, order):
@@ -635,10 +721,10 @@ def test_companion_of_family_gauge_is_conjugate():
 def _companion_by_inversion(F, m):
     """The companion by its definition: invert F, apply the coupling
     conditions to the inverse, and invert the resulting pair."""
-    Fi = F.inverse()
+    Fi = gauge_inverse(F)
     f, g = Fi.f, Fi.g
     lam = g.derivative() * (g.divide_monomial(1).pow_int(m) * f).invert_unit()
-    return ScalarGauge(lam, g).inverse()
+    return gauge_inverse(ScalarGauge(lam, g))
 
 
 def _assert_companion_matches_oracle(F, m):
@@ -678,7 +764,7 @@ def test_companion_of_family_gauge_matches_inversion_oracle(gamma, order):
 
 def _pushforward_by_inversion(ode, F, target):
     """The pushforward as a pullback along the inverted gauge."""
-    return transform_ode_by_gauge(ode, F.inverse(), target, "pullback")
+    return transform_ode_by_gauge(ode, gauge_inverse(F), target, "pullback")
 
 
 def _laurent_at(L, g):

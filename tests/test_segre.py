@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from segreode import segre
+from segreode import backend, segre
 from segreode.errors import DomainError, InternalInconsistencyError, PrecisionError
 from segreode.gauge import linear_family
 from segreode.odes import P0Ode, validate_p0
@@ -529,6 +529,28 @@ def test_solve_phi_takes_one_exp_recurrence_per_exponential(structure_samples,
     solve_phi(ode, data.m, 1, TRUNCS)
     assert calls == []
     assert len(set(exponents)) == 2 and len(exponents) == 2 * (TRUNCS[0] - 3)
+
+
+def test_solve_phi_skips_the_unit_factor_for_m_one(structure_samples, monkeypatch):
+    # exp((1 - m) psi) = 1 for m = 1, so the relaxed step takes the cubic
+    # and inner slices as they are: 241 mul3 calls per dense solve at
+    # (9, 9, 18), where multiplying each by the unit slice took 255
+    te = 18
+    dense = next(d for d in structure_samples if not d.c.is_zero())
+    assert dense.m == 1
+    ode = build_real(RealStructureData(dense.a.widen(te), dense.b.widen(te),
+                                       dense.c.widen(te), dense.m))
+    calls = [0]
+    mul3 = backend.mul3
+
+    def counted(*args):
+        calls[0] += 1
+        return mul3(*args)
+    monkeypatch.setattr(backend, "mul3", counted)
+    for sign in (1, -1):
+        calls[0] = 0
+        solve_phi(ode, 1, sign, (9, 9, 18))
+        assert calls[0] == 241, sign
 
 
 def _ode_on_family_by_eval(W, ode):
