@@ -1,11 +1,11 @@
 """Command-line surface: build, verify, pipeline.
 
 Exit codes: 0 all checks passed, 1 at least one check failed,
-2 invalid input (parse error, missing file, bad flags).  ``--json``
-switches the report stream to the structured form.  The default
-truncation of ``build`` and ``pipeline`` honors the SEGREODE_TRUNC
-environment variable; ``verify reality`` and ``verify segre-residual``
-default to the truncation of their ODE file.
+2 invalid input (parse error, unreadable or undecodable file, bad
+flags).  ``--json`` switches the report stream to the structured form.
+``build`` and ``pipeline`` truncate at 16 unless ``--trunc`` says
+otherwise; ``verify reality`` and ``verify segre-residual`` default to
+the truncation of their ODE file.
 
 Each ``verify`` check takes only the flags its verifier reads
 (``VERIFY_CHECKS``); any other flag is a usage error, which exits 2 like
@@ -41,35 +41,18 @@ from .segre import (RealStructureData, build_real, extract_real, family_reality,
 from .series import USeries
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT = 0, 1, 2
+DEFAULT_TRUNC = 16
+# The least truncation, of an ODE file and of --trunc and --dz: the
+# residual of the family lives on (dz - 2, dz, te), empty below dz = 3,
+# and the reality criterion reads the slices (k, l) <= (3, 3).
 MIN_TRUNC = 4
-# The residual of the family lives on (dz - 2, dz, te), empty below
-# dz = 3, and the reality criterion reads the slices (k, l) <= (3, 3).
-MIN_DZ = 4
 
 
-def resolve_trunc(flag, default=None):
-    """``--trunc`` if set, else ``default``, else SEGREODE_TRUNC (16); >= 4."""
-    if flag is not None:
-        value, source = flag, "--trunc"
-    elif default is not None:
-        return default
-    else:
-        raw = os.environ.get("SEGREODE_TRUNC", "16")
-        try:
-            value = int(raw)
-        except ValueError:
-            raise SegreOdeError(f"SEGREODE_TRUNC must be an integer, got {raw!r}")
-        source = "SEGREODE_TRUNC"
-    if value < MIN_TRUNC:
-        raise SegreOdeError(f"{source} must be at least {MIN_TRUNC}, got {value}")
-    return value
-
-
-def resolve_dz(flag, default):
-    """``--dz`` if set, else ``default``; >= 4."""
+def resolve_flag(name, flag, default):
+    """``flag``, the value of the option ``name``, if set, else ``default``; >= 4."""
     value = default if flag is None else flag
-    if value < MIN_DZ:
-        raise SegreOdeError(f"--dz must be at least {MIN_DZ}, got {value}")
+    if value < MIN_TRUNC:
+        raise SegreOdeError(f"{name} must be at least {MIN_TRUNC}, got {value}")
     return value
 
 
@@ -162,7 +145,7 @@ LINEAR_FAMILY_INFO = Report("linear-family", "info")
 # -- build ----------------------------------------------------------------
 
 def cmd_build(args):
-    trunc = resolve_trunc(args.trunc)
+    trunc = resolve_flag("--trunc", args.trunc, DEFAULT_TRUNC)
     ode = build_real(_real_data(args, trunc))
     text = dumps_canonical(ode_to_json(ode))
     if args.out:
@@ -342,8 +325,8 @@ def cmd_verify(args):
 def cmd_pipeline(args):
     """Run the chain, then write every artifact; a failing stage writes none."""
     from .hypersurface import build_hypersurface
-    trunc = resolve_trunc(args.trunc)
-    dz = resolve_dz(args.dz, 5)
+    trunc = resolve_flag("--trunc", args.trunc, DEFAULT_TRUNC)
+    dz = resolve_flag("--dz", args.dz, 5)
     outdir = args.out_dir
     texts = {}
 
@@ -399,8 +382,8 @@ def _family_order(args, ode):
 
 def _phi_truncs(args, te, dz=5):
     """(--dz, --dz, --trunc), defaulting to (dz, dz, te)."""
-    dz = resolve_dz(args.dz, dz)
-    return (dz, dz, resolve_trunc(args.trunc, te))
+    dz = resolve_flag("--dz", args.dz, dz)
+    return (dz, dz, resolve_flag("--trunc", args.trunc, te))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -453,11 +436,11 @@ def main(argv=None):
     try:
         args = build_parser().parse_args(argv)
         code = args.func(args)
-    except SegreOdeError as exc:
+    except (SegreOdeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except UnicodeDecodeError as exc:
+        print(f"error: undecodable input: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except json.JSONDecodeError as exc:
         print(f"error: invalid JSON input: {exc}", file=sys.stderr)

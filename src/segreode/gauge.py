@@ -32,7 +32,7 @@ from .errors import DomainError, InternalInconsistencyError, PrecisionError, Str
 from .odes import P0Ode
 from .scalars import GaussRational, gauss_sqrt_exact
 from .segre import RealStructureData, build_real
-from .series import ULaurent, USeries, _combine_shifted, _compose, _scalar_triple
+from .series import ULaurent, USeries, _combine, _compose, _scalar_triple
 
 
 class Mat2:
@@ -248,19 +248,20 @@ def _apply_factor(cur, gauge, H, k, pole, trunc):
     exact below the smaller of ``trunc`` and its matrix's truncation.
     """
     var = cur.a[0][0].var
-    wp = USeries.monomial(pole - 1, 1, var, trunc)
+    wp = USeries.monomial(k + pole - 1, 1, var, trunc + k)
 
     def right_mul(X, i, j, *extra):
-        """Entry (i, j) of X T, plus w^k times the extra terms."""
-        return _combine_shifted(X[i][j], k, [(H[0][j], X[i][0]), (H[1][j], X[i][1]),
-                                             *extra], trunc)
+        """Entry (i, j) of X T = X + (X H) w^k, plus the extra terms."""
+        return _combine(X[i][j], [(H[0][j], X[i][0].shift_up(k)),
+                                  (H[1][j], X[i][1].shift_up(k)), *extra], trunc)
 
     # Y = cur T - w^pole T'
     Y = [[right_mul(cur.a, i, j, (-k * H[i][j], wp)) for j in range(2)] for i in range(2)]
     tr = H[0][0] + H[1][1]
     det = H[0][0] * H[1][1] - H[0][1] * H[1][0]
-    new = [[_combine_shifted(Y[i][j], k, [(tr, Y[i][j]), (-H[i][0], Y[0][j]),
-                                          (-H[i][1], Y[1][j])], trunc)
+    Yk = [[e.shift_up(k) for e in row] for row in Y]
+    new = [[_combine(Y[i][j], [(tr, Yk[i][j]), (-H[i][0], Yk[0][j]),
+                               (-H[i][1], Yk[1][j])], trunc)
             for j in range(2)] for i in range(2)]
     if tr or det:
         n = max(e.trunc for row in new for e in row)
@@ -381,10 +382,6 @@ class ScalarGauge:
     @classmethod
     def identity(cls, var="w", trunc=16):
         return cls(USeries.constant(1, var, trunc), USeries.monomial(1, 1, var, trunc))
-
-    @property
-    def var(self):
-        return self.g.var
 
     @cached_property
     def inv_f(self):
@@ -700,8 +697,8 @@ def monodromy_at_infinity(sys: LinSystem) -> MonodromyReport:
     if P is not None:
         # (P^-1 M P)[i][j] = sum of P^-1[i][k] P[l][j] M[k][l]: no series product
         Pinv, zero = _const_inverse(P), USeries.zero("t", box)
-        M = Mat2([[_combine_shifted(zero, 0, [(Pinv[i][k] * P[l][j], M[k, l])
-                                              for k in range(2) for l in range(2)], box)
+        M = Mat2([[_combine(zero, [(Pinv[i][k] * P[l][j], M[k, l])
+                                   for k in range(2) for l in range(2)], box)
                    for j in range(2)] for i in range(2)])
     system = LinSystem(1, M)
     pd = poincare_dulac(system, order)

@@ -16,7 +16,7 @@ from .errors import DomainError, PrecisionError, StructureError
 from .odes import Poly2
 from .scalars import GaussRational
 from .segre import AdmissiblePhi
-from .series import TriSeries, _combine_shifted, _powers
+from .series import TriSeries, _combine, _powers
 
 HYPER_VARS = ("z", "zbar", "wbar")
 
@@ -137,19 +137,6 @@ class HoloField:
         if any(e < 0 for p in (self.fz, self.fw) for key in p.coeffs for e in key):
             raise StructureError("a field's exponents must be non-negative")
 
-    def __add__(self, other):
-        return HoloField(self.fz + other.fz, self.fw + other.fw)
-
-    def scale(self, q):
-        return HoloField(self.fz * q, self.fw * q)
-
-    def apply(self, h: Poly2) -> Poly2:
-        return self.fz * h.derivative(0) + self.fw * h.derivative(1)
-
-    def commutator(self, other: "HoloField") -> "HoloField":
-        return HoloField(self.apply(other.fz) - other.apply(self.fz),
-                         self.apply(other.fw) - other.apply(self.fw))
-
 
 @record
 class TangencyResult:
@@ -195,7 +182,7 @@ def tangency_check(jet: HyperJet, X: HoloField) -> TangencyResult:
     for (i, j), q in X.fz.coeffs.items():
         terms += [(-q, ctx.power_rho_z(j).mul_monomial(i, 0, 0)),
                   (-q.conjugate(), ctx.rho_zb.mul_monomial(0, i, j))]
-    residual = _combine_shifted(TriSeries.zero(HYPER_VARS, box), 0, terms, box)
+    residual = _combine(TriSeries.zero(HYPER_VARS, box), terms, box)
     return TangencyResult(residual.is_zero(), residual)
 
 

@@ -118,10 +118,6 @@ def hyperjet_to_json(jet):
             "rho": triseries_to_json(jet.rho)}
 
 
-def bipoly_to_json(p):
-    return {"terms": _terms_to_json((list(deg), q) for deg, q in sorted(p.coeffs.items()))}
-
-
 def bipoly_from_json(obj):
     try:
         return Poly2({tuple(int(x) for x in t["deg"]): gauss_from_json(t["coeff"])
@@ -130,16 +126,11 @@ def bipoly_from_json(obj):
         raise StructureError(f"bad bivariate polynomial record: {exc}") from exc
 
 
-def field_to_json(X):
-    return {"format": FORMAT_VERSION, "fz": bipoly_to_json(X.fz),
-            "fw": bipoly_to_json(X.fw)}
-
-
 def field_from_json(obj):
     from .hypersurface import HoloField
     try:
         return HoloField(bipoly_from_json(obj["fz"]), bipoly_from_json(obj["fw"]))
-    except KeyError as exc:
+    except (KeyError, TypeError) as exc:
         raise StructureError(f"bad field record: {exc}") from exc
 
 

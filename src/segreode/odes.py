@@ -141,34 +141,6 @@ def validate_p0(ode: P0Ode):
     return [RelationViolation(rel, r) for rel, r in residuals if not r.is_zero()]
 
 
-def singularity_order(m, A, B, C, D, E, F):
-    """Minimal representation order for a claimed-(m) sextuple.
-
-    Returns (m_min, P0Ode): the largest power of w is divided out of
-    (A, B) and its double out of (C..F) while all six stay holomorphic.
-    The all-zero ODE reports order 1 by convention.
-    """
-    if m < 1:
-        raise DomainError("claimed order must be >= 1")
-    firsts = [s.order() for s in (A, B)]
-    seconds = [s.order() for s in (C, D, E, F)]
-    if all(o is None for o in firsts + seconds):
-        return 1, P0Ode(1, A, B, C, D, E, F)
-    d = m - 1
-    for o in firsts:
-        if o is not None:
-            d = min(d, o)
-    for o in seconds:
-        if o is not None:
-            d = min(d, o // 2)
-    if d <= 0:
-        return m, P0Ode(m, A, B, C, D, E, F)
-    return m - d, P0Ode(m - d,
-                        A.divide_monomial(d), B.divide_monomial(d),
-                        C.divide_monomial(2 * d), D.divide_monomial(2 * d),
-                        E.divide_monomial(2 * d), F.divide_monomial(2 * d))
-
-
 class Poly2:
     """Sparse polynomial in two variables, keyed by exponent pairs (i, j).
 

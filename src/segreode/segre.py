@@ -22,7 +22,7 @@ from ._record import record
 from .errors import DomainError, InternalInconsistencyError, PrecisionError
 from .odes import P0Ode, structural_cd, validate_p0
 from .scalars import GaussRational, I
-from .series import (TriSeries, USeries, _combine_shifted, _compose, _exp_part, _join,
+from .series import (TriSeries, USeries, _combine, _compose, _exp_part, _join,
                      _slice_product)
 
 PHI_VARS = ("z", "xi", "eta")
@@ -139,8 +139,8 @@ def _relaxed_phi(ode, m, truncs):
     one = zero.ring_one()
 
     def on_family(terms, n, *more):             # slice n of the terms, plus more
-        return _combine_shifted(zero, 0, [(q, pw[d][n - s]) for s, d, q in terms if s <= n]
-                                + list(more), box)
+        return _combine(zero, [(q, pw[d][n - s]) for s, d, q in terms if s <= n]
+                        + list(more), box)
 
     def terms(*pairs):                          # q z^s W^d over (s, X); W^d = 0 from te on
         return [(s, d, q) for s, X in pairs for d, q in X.terms() if d < te]

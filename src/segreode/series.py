@@ -30,9 +30,10 @@ var**trunc), and its product, exact below min(t1 - p2, t2 - p1) for
 truncations t and poles p, is its own, as are ``invert`` and negative
 powers.  ``TriSeries`` (three variables) adds coefficients by
 exponent triple, ``subst_eta``, ``swap_zx`` and ``slice_eta``.  The
-relaxed helpers (``_slice_product``, ``_exp_part``, ``_join``) take and
-return series; no other module reads coefficient storage or calls the
-kernel.
+relaxed helpers (``_slice_product``, ``_exp_part``, ``_join``) and the
+linear combination ``_combine`` (a shifted term comes in as
+``shift_up``) take and return series; no other module reads coefficient
+storage or calls the kernel.
 """
 
 from __future__ import annotations
@@ -569,16 +570,15 @@ def _exp_part(t, E, n):
                        if t[j].coeffs and E[n - j].coeffs], E[0], n)
 
 
-def _combine_shifted(base, shift, terms, trunc, den=None):
-    """base + var**shift * sum(c * s for c, s in terms), inside the box trunc.
+def _combine(base, terms, trunc, den=None):
+    """base + sum(c * s for c, s in terms), inside the box trunc.
 
     One pass over integer pairs and one content normalization, where
-    scaling, shifting, truncating and adding would normalize at every
-    step.  A coefficient c is a scalar or, given ``den``, the Gaussian
-    integer pair (a, b) standing for (a + b*i)/den.  The shift moves the
-    first variable; three variables take shift 0.  The result is exact
-    inside the meet of trunc, the box of base and the box of each s with
-    c != 0 (its first axis raised by shift), which is its box.
+    scaling, truncating and adding would normalize at every step.  A
+    coefficient c is a scalar or, given ``den``, the Gaussian integer
+    pair (a, b) standing for (a + b*i)/den.  The result is exact inside
+    the meet of trunc, the box of base and the box of each s with
+    c != 0, which is its box.
     """
     if den is None:
         parts = [(s, *_scalar_triple(c)) for c, s in terms if c]
@@ -586,20 +586,18 @@ def _combine_shifted(base, shift, terms, trunc, den=None):
         parts = [(s, a, b, den) for (a, b), s in terms if a or b]
     box = tuple(map(min, base._box(trunc), base.truncs))
     for s, *_ in parts:
-        box = tuple(map(min, box, (s.truncs[0] + shift,) + s.truncs[1:]))
+        box = tuple(map(min, box, s.truncs))
     den = base.den
     for s, _, _, d in parts:
         den = math.lcm(den, s.den * d)
     m = den // base.den
     cf = base.coeffs if box == base.truncs else _cut(base.coeffs, box)
     out = {k: (a * m, b * m) for k, (a, b) in cf.items()}
-    sbox = (box[0] - shift,) + box[1:]
     for s, ca, cb, d in parts:
         m = den // (s.den * d)
         ca, cb = ca * m, cb * m
-        cf = s.coeffs if s.truncs == sbox else _cut(s.coeffs, sbox)
+        cf = s.coeffs if s.truncs == box else _cut(s.coeffs, box)
         for k, (a, b) in cf.items():
-            k += shift
             re, im = a * ca - b * cb, a * cb + b * ca
             cur = out.get(k)
             if cur is not None:
@@ -645,8 +643,8 @@ def _compose(series, t):
     t = t.truncate(box(max(s.trunc for s in series)))
     zero = t._raw(t.vars, t.truncs, {}, 1)
     powers = _powers(t, max((max(s.coeffs) for s in series if s.coeffs), default=0))
-    return [_combine_shifted(zero, 0, [(c, powers[d]) for d, c in s.coeffs.items()
-                                       if d < len(powers)], box(s.trunc), s.den)
+    return [_combine(zero, [(c, powers[d]) for d, c in s.coeffs.items()
+                            if d < len(powers)], box(s.trunc), s.den)
             for s in series]
 
 

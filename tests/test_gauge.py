@@ -341,7 +341,7 @@ def test_gauge_chi_tau_refuses_a_pair_that_is_not_conjugate():
 
 
 def _trivial_gauge(F):
-    return (F.f - 1).is_zero() and (F.g - USeries.monomial(1, 1, F.var, F.g.trunc)).is_zero()
+    return (F.f - 1).is_zero() and (F.g - USeries.monomial(1, 1, F.g.var, F.g.trunc)).is_zero()
 
 
 def test_tau_deviation_order_exactly_five():

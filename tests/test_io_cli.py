@@ -9,7 +9,7 @@ import pytest
 
 from segreode import cli
 from segreode.cli import check_real_structure, main
-from segreode.io import (dumps_canonical, ode_from_json, ode_to_json,
+from segreode.io import (dumps_canonical, gauss_to_json, ode_from_json, ode_to_json,
                          parse_coeff_list, parse_monomial_expr, phi_from_json,
                          phi_to_json, Report, useries_from_json,
                          useries_to_json)
@@ -113,8 +113,7 @@ def test_cli_invalid_inputs(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_trunc_below_minimum_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.delenv("SEGREODE_TRUNC", raising=False)
+def test_cli_trunc_below_minimum_exits_2(tmp_path, capsys):
     build = ["build", "--a", "1", "--b", "0,0,0,0,1", "--m", "4"]
     ode = tmp_path / "ode.json"
     assert run_cli(build + ["--trunc", "4", "-o", str(ode)]) == 0
@@ -128,9 +127,6 @@ def test_cli_trunc_below_minimum_exits_2(tmp_path, capsys, monkeypatch):
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--trunc must be at least 4" in err
     assert not (tmp_path / "pl").exists()
-    monkeypatch.setenv("SEGREODE_TRUNC", "3")
-    assert run_cli(build) == 2
-    assert "SEGREODE_TRUNC must be at least 4" in capsys.readouterr().err
 
 
 def test_cli_segre_residual_on_an_ode_known_below_2m_exits_2(tmp_path, capsys):
@@ -481,6 +477,31 @@ def test_cli_malformed_input_exits_2(case, ode_files, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+# Input files that cannot be read as a JSON record: a directory, bytes
+# that are not UTF-8, and a field file that holds no object.  A file the
+# CLI may not open (PermissionError) takes the directory's path, but as
+# root every file opens, so it is not tested here.
+UNREADABLE_FILES = {"directory": None, "not-utf8": b'{"m": "\xe9"}',
+                    "array": b"[]", "null": b"null"}
+
+
+@pytest.mark.parametrize("check, flag, kind", [
+    ("p0", "--ode", "directory"), ("p0", "--ode", "not-utf8"),
+    ("tangency", "--field", "directory"), ("tangency", "--field", "not-utf8"),
+    ("tangency", "--field", "array"), ("tangency", "--field", "null"),
+], ids=lambda v: v.lstrip("-"))
+def test_cli_unreadable_input_file_exits_2(check, flag, kind, tmp_path, capsys):
+    path = tmp_path / "input"
+    if UNREADABLE_FILES[kind] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(UNREADABLE_FILES[kind])
+    assert run_cli(["verify", check, flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 def test_cli_gauge_rejects_nonreal_gamma(capsys):
     assert run_cli(["verify", "gauge", "--gamma", "i"]) == 2
     err = capsys.readouterr().err
@@ -532,10 +553,9 @@ def test_cli_pipeline_gamma_zero_vs_one_differ_in_E(tmp_path, capsys):
 
 
 def test_cli_entrypoint_subprocess(tmp_path):
-    env = dict(os.environ, SEGREODE_TRUNC="12")
     proc = subprocess.run(
         [sys.executable, "-m", "segreode.cli", "verify", "divergence",
-         "--gamma", "1", "-K", "60"], capture_output=True, text=True, env=env)
+         "--gamma", "1", "-K", "60"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
 
@@ -578,19 +598,37 @@ def test_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def field_record(X):
+    """The field file's record of X: its two polynomials' sorted terms."""
+    def poly(p):
+        return {"terms": [{"deg": list(deg), "coeff": gauss_to_json(q)}
+                          for deg, q in sorted(p.coeffs.items())]}
+    return {"format": 1, "fz": poly(X.fz), "fw": poly(X.fw)}
+
+
 def test_field_json_roundtrip():
     from segreode.hypersurface import sphere_pushforward_fields
-    from segreode.io import field_from_json, field_to_json
+    from segreode.io import field_from_json
 
-    for X in sphere_pushforward_fields():
-        back = field_from_json(field_to_json(X))
+    def term(i, j, re, im=0):
+        return {"deg": [i, j], "coeff": {"re": {"num": str(re), "den": "1"},
+                                         "im": {"num": str(im), "den": "1"}}}
+
+    records = [
+        {"fz": [term(1, 0, 0, 1)], "fw": []},
+        {"fz": [], "fw": [term(0, 4, 2)]},
+        {"fz": [term(0, 0, 1), term(2, 0, -2)], "fw": [term(1, 4, 0, 1)]},
+        {"fz": [term(0, 0, 0, 1), term(2, 0, 0, 2)], "fw": [term(1, 4, 1)]},
+    ]
+    for rec, X in zip(records, sphere_pushforward_fields(), strict=True):
+        record = {"format": 1, "fz": {"terms": rec["fz"]}, "fw": {"terms": rec["fw"]}}
+        back = field_from_json(record)
         assert back.fz == X.fz and back.fw == X.fw
+        assert field_record(X) == record        # what the tests write, the reader reads
 
 
 @pytest.mark.parametrize("axis", [0, 1], ids=["fz=z^-1", "fz=w^-1"])
 def test_cli_tangency_field_with_negative_exponent_exits_2(axis, tmp_path, capsys):
-    from segreode.io import gauss_to_json
-
     deg = [-1, 0] if axis == 0 else [0, -1]
     path = tmp_path / "field.json"
     path.write_text(json.dumps({"format": 1, "fw": {"terms": []},
@@ -613,9 +651,8 @@ def test_cli_tangency_box_without_the_leading_term_exits_2(tmp_path, capsys):
     # d/dz is not tangent to the model (m = 4); the residual box of
     # eta-truncation 5 ends below wbar^4, where rho first reads z
     from segreode.hypersurface import HoloField
-    from segreode.io import field_to_json
     path = tmp_path / "ddz.json"
-    path.write_text(dumps_canonical(field_to_json(
+    path.write_text(dumps_canonical(field_record(
         HoloField(Poly2({(0, 0): GaussRational(1)}), Poly2()))))
     argv = ["verify", "tangency", "--field", str(path), "--trunc"]
     assert run_cli(argv + ["5"]) == 2
@@ -629,10 +666,9 @@ def test_cli_tangency_box_without_the_leading_term_exits_2(tmp_path, capsys):
 
 def test_cli_tangency_custom_field(tmp_path, capsys):
     from segreode.hypersurface import sphere_pushforward_fields
-    from segreode.io import dumps_canonical, field_to_json
 
     path = tmp_path / "field.json"
-    path.write_text(dumps_canonical(field_to_json(sphere_pushforward_fields()[0])))
+    path.write_text(dumps_canonical(field_record(sphere_pushforward_fields()[0])))
     assert run_cli(["verify", "tangency", "--field", str(path),
                     "--dz", "5", "--trunc", "10"]) == 0
     capsys.readouterr()

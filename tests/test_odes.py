@@ -1,7 +1,6 @@
 from fractions import Fraction
 
-from segreode.odes import (P0Ode, Poly2, singularity_order, tresse, tresse_l1, tresse_l2,
-                           validate_p0)
+from segreode.odes import P0Ode, Poly2, tresse, tresse_l1, tresse_l2, validate_p0
 from segreode.scalars import GaussRational
 from segreode.segre import build_real
 from segreode.series import ULaurent, USeries
@@ -78,20 +77,3 @@ def test_conjugation_preserves_validity(rng):
     assert validate_p0(ode.conjugate()) == []
 
 
-def test_singularity_order_reduction():
-    ode = family_ode(1)
-    raised = ode.rescale_order(5)
-    m, reduced = singularity_order(5, raised.A, raised.B, raised.C,
-                                   raised.D, raised.E, raised.F)
-    assert m == 4
-    for n in "ABCDEF":
-        assert getattr(reduced, n).equal_mod(getattr(ode, n))
-
-
-def test_singularity_order_conventions():
-    z = USeries.zero(trunc=T)
-    m, _ = singularity_order(3, z, z, z, z, z, z)
-    assert m == 1
-    ode = family_ode(1)
-    m, same = singularity_order(4, ode.A, ode.B, ode.C, ode.D, ode.E, ode.F)
-    assert m == 4 and same == ode

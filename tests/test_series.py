@@ -8,7 +8,7 @@ from segreode import backend
 from segreode.errors import DomainError, StructureError
 from segreode.gauge import linear_family, reversion
 from segreode.scalars import GaussRational
-from segreode.series import (TriSeries, ULaurent, USeries, _combine_shifted, _Series,
+from segreode.series import (TriSeries, ULaurent, USeries, _combine, _Series,
                              _slice_product)
 
 fractions = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -568,10 +568,9 @@ def test_invert_unit_is_inverse(t, c):
        triseries(), triseries(), triseries())
 def test_combine_shifted_matches_ring_ops(base, a, b, ca, cb, shift, tbase, ta, tb):
     want = (base + (a * ca + b * cb).shift_up(shift)).truncate(8)
-    assert _combine_shifted(base, shift, [(ca, a), (cb, b)], 8) == want
-    # three variables take shift 0
+    assert _combine(base, [(ca, a.shift_up(shift)), (cb, b.shift_up(shift))], 8) == want
     want = (tbase + ta * ca + tb * cb).truncate((3, 4, 4))
-    assert _combine_shifted(tbase, 0, [(ca, ta), (cb, tb)], (3, 4, 4)) == want
+    assert _combine(tbase, [(ca, ta), (cb, tb)], (3, 4, 4)) == want
 
 
 def naive_compose(s, t):
